@@ -36,8 +36,8 @@ type MapOptions struct {
 	Algo        string `json:"algo,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
 	TimeoutMS   int    `json:"timeout_ms,omitempty"`
-	// Check and NoCache are the v2 homes of the top-level request
-	// fields of the same names.
+	// Check runs the server's post-condition oracle on the mapping;
+	// NoCache bypasses the server's result cache lookup.
 	Check   bool `json:"check,omitempty"`
 	NoCache bool `json:"nocache,omitempty"`
 }
@@ -48,12 +48,7 @@ type MapRequest struct {
 	Workload string         `json:"workload,omitempty"`
 	Bindings map[string]int `json:"bindings,omitempty"`
 	Net      string         `json:"net"`
-	// Options is the v2 options envelope.
-	Options *MapOptions `json:"options,omitempty"`
-	// Check and NoCache are deprecated top-level aliases of
-	// Options.Check / Options.NoCache, kept for one release.
-	Check   bool `json:"check,omitempty"`
-	NoCache bool `json:"nocache,omitempty"`
+	Options  *MapOptions    `json:"options,omitempty"`
 }
 
 // MapResponse is the subset of a successful POST /v1/map body that
@@ -139,128 +134,107 @@ func (e *RetriesExhaustedError) Error() string {
 func (e *RetriesExhaustedError) Unwrap() error { return e.Last }
 
 // Option configures a Client during New. Options are applied in
-// order. The functional constructors below (WithRetries, WithTimeout,
-// WithSleep, ...) are the v2 construction surface; a whole Options
-// struct is itself an Option — it replaces the configuration wholesale,
-// which keeps pre-v2 call sites (`client.New(addr, client.Options{...})`)
-// compiling and behaving exactly as before.
-type Option interface{ applyOption(*Options) }
+// order; each field left unset gets the default named on options.
+type Option func(*options)
 
-type optionFunc func(*Options)
-
-func (f optionFunc) applyOption(o *Options) { f(o) }
-
-// applyOption makes Options itself an Option: wholesale replacement,
-// the v1 semantics of passing the struct to New.
-func (o Options) applyOption(dst *Options) { *dst = o }
-
-// WithHTTPClient overrides the transport.
+// WithHTTPClient overrides the transport; by default a dedicated client
+// with generous idle-connection reuse is built.
 func WithHTTPClient(hc *http.Client) Option {
-	return optionFunc(func(o *Options) { o.HTTPClient = hc })
+	return func(o *options) { o.httpClient = hc }
 }
 
 // WithRetries bounds tries per call, first attempt included.
 func WithRetries(n int) Option {
-	return optionFunc(func(o *Options) { o.MaxAttempts = n })
+	return func(o *options) { o.maxAttempts = n }
 }
 
 // WithBackoff sets the exponential schedule's seed and cap.
 func WithBackoff(base, max time.Duration) Option {
-	return optionFunc(func(o *Options) { o.BaseBackoff, o.MaxBackoff = base, max })
+	return func(o *options) { o.baseBackoff, o.maxBackoff = base, max }
 }
 
-// WithTimeout bounds each individual attempt.
+// WithTimeout bounds each individual attempt; the caller's context
+// still bounds the call as a whole.
 func WithTimeout(d time.Duration) Option {
-	return optionFunc(func(o *Options) { o.AttemptTimeout = d })
+	return func(o *options) { o.attemptTimeout = d }
 }
 
 // WithRand replaces the jitter source (tests).
 func WithRand(fn func() float64) Option {
-	return optionFunc(func(o *Options) { o.Rand = fn })
+	return func(o *options) { o.rand = fn }
 }
 
 // WithSleep replaces the inter-attempt wait (tests).
 func WithSleep(fn func(ctx context.Context, d time.Duration) error) Option {
-	return optionFunc(func(o *Options) { o.Sleep = fn })
+	return func(o *options) { o.sleep = fn }
 }
 
 // WithOnRetry observes each scheduled retry.
 func WithOnRetry(fn func(attempt int, wait time.Duration, cause error)) Option {
-	return optionFunc(func(o *Options) { o.OnRetry = fn })
+	return func(o *options) { o.onRetry = fn }
 }
 
-// Options tunes a Client. The zero value gets sane defaults.
-//
-// Deprecated as a construction surface: mutate-and-pass construction is
-// superseded by the functional options above; the struct and its fields
-// keep working (it satisfies Option) but new code should write
-// client.New(addr, client.WithRetries(3), ...).
-type Options struct {
-	// HTTPClient overrides the transport; by default a dedicated client
-	// with generous idle-connection reuse is built.
-	HTTPClient *http.Client
-	// MaxAttempts bounds tries per call, first attempt included
-	// (default 5).
-	MaxAttempts int
-	// BaseBackoff seeds the exponential schedule (default 100ms); the
-	// wait before retry k is BaseBackoff<<k, jittered, capped by
-	// MaxBackoff (default 5s). A server Retry-After overrides the
+// options is a Client's configuration, filled by Option values.
+type options struct {
+	httpClient *http.Client
+	// maxAttempts bounds tries per call (default 5).
+	maxAttempts int
+	// baseBackoff seeds the exponential schedule (default 100ms); the
+	// wait before retry k is baseBackoff<<k, jittered, capped by
+	// maxBackoff (default 5s). A server Retry-After overrides the
 	// schedule (still capped).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// AttemptTimeout bounds each individual attempt (default 30s); the
-	// caller's context still bounds the call as a whole.
-	AttemptTimeout time.Duration
-	// Rand replaces the jitter source (tests); nil uses math/rand.
-	Rand func() float64
-	// Sleep replaces the inter-attempt wait (tests); nil sleeps on the
-	// clock, waking early when ctx is done.
-	Sleep func(ctx context.Context, d time.Duration) error
-	// OnRetry, when set, observes each scheduled retry.
-	OnRetry func(attempt int, wait time.Duration, cause error)
+	baseBackoff time.Duration
+	maxBackoff  time.Duration
+	// attemptTimeout bounds each individual attempt (default 30s).
+	attemptTimeout time.Duration
+	// rand is the jitter source (default math/rand).
+	rand func() float64
+	// sleep is the inter-attempt wait (default: the clock, waking early
+	// when ctx is done).
+	sleep   func(ctx context.Context, d time.Duration) error
+	onRetry func(attempt int, wait time.Duration, cause error)
 }
 
 // Client talks to one oregami serve instance. Safe for concurrent use.
 type Client struct {
 	base string
-	opt  Options
+	opt  options
 }
 
 // New builds a client for the daemon at base ("http://host:port" or a
 // bare "host:port"), configured by zero or more Options applied in
-// order (both functional options and whole Options structs are
-// accepted; see Option).
+// order.
 func New(base string, opts ...Option) *Client {
-	var opt Options
+	var opt options
 	for _, o := range opts {
-		o.applyOption(&opt)
+		o(&opt)
 	}
 	if base != "" && base[0] != 'h' {
 		base = "http://" + base
 	}
-	if opt.HTTPClient == nil {
-		opt.HTTPClient = &http.Client{Transport: &http.Transport{
+	if opt.httpClient == nil {
+		opt.httpClient = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 64,
 		}}
 	}
-	if opt.MaxAttempts <= 0 {
-		opt.MaxAttempts = 5
+	if opt.maxAttempts <= 0 {
+		opt.maxAttempts = 5
 	}
-	if opt.BaseBackoff <= 0 {
-		opt.BaseBackoff = 100 * time.Millisecond
+	if opt.baseBackoff <= 0 {
+		opt.baseBackoff = 100 * time.Millisecond
 	}
-	if opt.MaxBackoff <= 0 {
-		opt.MaxBackoff = 5 * time.Second
+	if opt.maxBackoff <= 0 {
+		opt.maxBackoff = 5 * time.Second
 	}
-	if opt.AttemptTimeout <= 0 {
-		opt.AttemptTimeout = 30 * time.Second
+	if opt.attemptTimeout <= 0 {
+		opt.attemptTimeout = 30 * time.Second
 	}
-	if opt.Rand == nil {
-		opt.Rand = rand.Float64
+	if opt.rand == nil {
+		opt.rand = rand.Float64
 	}
-	if opt.Sleep == nil {
-		opt.Sleep = func(ctx context.Context, d time.Duration) error {
+	if opt.sleep == nil {
+		opt.sleep = func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
 			defer t.Stop()
 			select {
@@ -335,7 +309,7 @@ func (c *Client) MapBatch(ctx context.Context, reqs []MapRequest, onItem func(Ba
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := c.opt.HTTPClient.Do(req)
+	resp, err := c.opt.httpClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("client: batch: %w", err)
 	}
@@ -373,7 +347,7 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 		if err != nil {
 			return attemptError{err: err}
 		}
-		resp, err := c.opt.HTTPClient.Do(req)
+		resp, err := c.opt.httpClient.Do(req)
 		if err != nil {
 			return attemptError{err: err, retryable: true}
 		}
@@ -411,7 +385,7 @@ func (c *Client) WaitReady(ctx context.Context, maxWait time.Duration) error {
 		if err != nil {
 			return err
 		}
-		resp, err := c.opt.HTTPClient.Do(req)
+		resp, err := c.opt.httpClient.Do(req)
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -419,7 +393,7 @@ func (c *Client) WaitReady(ctx context.Context, maxWait time.Duration) error {
 				return nil
 			}
 		}
-		if serr := c.opt.Sleep(ctx, 25*time.Millisecond); serr != nil {
+		if serr := c.opt.sleep(ctx, 25*time.Millisecond); serr != nil {
 			return fmt.Errorf("client: server never became ready: %w", serr)
 		}
 	}
@@ -432,7 +406,7 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (*MapRespon
 		return nil, attemptError{err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.opt.HTTPClient.Do(req)
+	resp, err := c.opt.httpClient.Do(req)
 	if err != nil {
 		// Transport-level failures (refused, reset, attempt timeout) are
 		// exactly the restart window this client exists for.
@@ -476,8 +450,8 @@ func statusError(resp *http.Response) attemptError {
 // come back as *RetriesExhaustedError once the budget is spent.
 func (c *Client) withRetries(ctx context.Context, fn func(ctx context.Context) attemptError) error {
 	var last error
-	for attempt := 0; attempt < c.opt.MaxAttempts; attempt++ {
-		actx, cancel := context.WithTimeout(ctx, c.opt.AttemptTimeout)
+	for attempt := 0; attempt < c.opt.maxAttempts; attempt++ {
+		actx, cancel := context.WithTimeout(ctx, c.opt.attemptTimeout)
 		ae := fn(actx)
 		cancel()
 		if ae.err == nil {
@@ -490,18 +464,18 @@ func (c *Client) withRetries(ctx context.Context, fn func(ctx context.Context) a
 		if ctx.Err() != nil {
 			return &RetriesExhaustedError{Attempts: attempt + 1, Last: errors.Join(last, ctx.Err())}
 		}
-		if attempt == c.opt.MaxAttempts-1 {
+		if attempt == c.opt.maxAttempts-1 {
 			break
 		}
 		wait := c.backoff(attempt, ae.retryAfter)
-		if c.opt.OnRetry != nil {
-			c.opt.OnRetry(attempt+1, wait, ae.err)
+		if c.opt.onRetry != nil {
+			c.opt.onRetry(attempt+1, wait, ae.err)
 		}
-		if err := c.opt.Sleep(ctx, wait); err != nil {
+		if err := c.opt.sleep(ctx, wait); err != nil {
 			return &RetriesExhaustedError{Attempts: attempt + 1, Last: errors.Join(last, err)}
 		}
 	}
-	return &RetriesExhaustedError{Attempts: c.opt.MaxAttempts, Last: last}
+	return &RetriesExhaustedError{Attempts: c.opt.maxAttempts, Last: last}
 }
 
 // backoff computes the wait before retrying attempt (0-based): the
@@ -510,15 +484,15 @@ func (c *Client) withRetries(ctx context.Context, fn func(ctx context.Context) a
 // everything capped at MaxBackoff.
 func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	if retryAfter > 0 {
-		if retryAfter > c.opt.MaxBackoff {
-			return c.opt.MaxBackoff
+		if retryAfter > c.opt.maxBackoff {
+			return c.opt.maxBackoff
 		}
 		return retryAfter
 	}
-	d := c.opt.BaseBackoff << uint(attempt)
-	if d > c.opt.MaxBackoff || d <= 0 {
-		d = c.opt.MaxBackoff
+	d := c.opt.baseBackoff << uint(attempt)
+	if d > c.opt.maxBackoff || d <= 0 {
+		d = c.opt.maxBackoff
 	}
-	jitter := time.Duration(c.opt.Rand() * float64(d) * 0.5)
+	jitter := time.Duration(c.opt.rand() * float64(d) * 0.5)
 	return d - jitter
 }

@@ -40,16 +40,14 @@ func (sc *script) handler() http.HandlerFunc {
 
 // testClient builds a client against ts with instant, recorded sleeps.
 func testClient(ts *httptest.Server, slept *[]time.Duration) *Client {
-	return New(ts.URL, Options{
-		MaxAttempts: 4,
-		BaseBackoff: 100 * time.Millisecond,
-		MaxBackoff:  2 * time.Second,
-		Rand:        func() float64 { return 0 }, // deterministic: no jitter
-		Sleep: func(ctx context.Context, d time.Duration) error {
+	return New(ts.URL,
+		WithRetries(4),
+		WithBackoff(100*time.Millisecond, 2*time.Second),
+		WithRand(func() float64 { return 0 }), // deterministic: no jitter
+		WithSleep(func(ctx context.Context, d time.Duration) error {
 			*slept = append(*slept, d)
 			return ctx.Err()
-		},
-	})
+		}))
 }
 
 func TestMapRetriesTransientStatuses(t *testing.T) {
@@ -131,14 +129,13 @@ func TestMapRetriesTransportErrors(t *testing.T) {
 	url := ts.URL
 	ts.Close()
 	var slept []time.Duration
-	c := New(url, Options{
-		MaxAttempts: 3,
-		Rand:        func() float64 { return 0 },
-		Sleep: func(ctx context.Context, d time.Duration) error {
+	c := New(url,
+		WithRetries(3),
+		WithRand(func() float64 { return 0 }),
+		WithSleep(func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
-		},
-	})
+		}))
 	_, err := c.Map(context.Background(), MapRequest{Workload: "nbody", Net: "hypercube:3"})
 	var re *RetriesExhaustedError
 	if !errors.As(err, &re) || re.Attempts != 3 {
@@ -154,13 +151,12 @@ func TestMapStopsOnContextCancel(t *testing.T) {
 	ts := httptest.NewServer(sc.handler())
 	defer ts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	c := New(ts.URL, Options{
-		MaxAttempts: 4,
-		Sleep: func(ctx context.Context, d time.Duration) error {
+	c := New(ts.URL,
+		WithRetries(4),
+		WithSleep(func(ctx context.Context, d time.Duration) error {
 			cancel() // the caller gives up during the first backoff
 			return ctx.Err()
-		},
-	})
+		}))
 	_, err := c.Map(ctx, MapRequest{Workload: "nbody", Net: "hypercube:3"})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in the chain", err)
@@ -171,11 +167,9 @@ func TestMapStopsOnContextCancel(t *testing.T) {
 }
 
 func TestBackoffCapsAndJitter(t *testing.T) {
-	c := New("127.0.0.1:1", Options{
-		BaseBackoff: time.Second,
-		MaxBackoff:  3 * time.Second,
-		Rand:        func() float64 { return 1 }, // maximum jitter
-	})
+	c := New("127.0.0.1:1",
+		WithBackoff(time.Second, 3*time.Second),
+		WithRand(func() float64 { return 1 })) // maximum jitter
 	// Attempt 0: 1s base, full jitter halves it.
 	if got := c.backoff(0, 0); got != 500*time.Millisecond {
 		t.Errorf("backoff(0) = %v, want 500ms", got)
@@ -220,10 +214,10 @@ func TestWaitReadyAndStats(t *testing.T) {
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	c := New(ts.URL, Options{Sleep: func(ctx context.Context, d time.Duration) error {
+	c := New(ts.URL, WithSleep(func(ctx context.Context, d time.Duration) error {
 		ready.Store(true) // flip to ready after the first poll
 		return ctx.Err()
-	}})
+	}))
 	if err := c.WaitReady(context.Background(), time.Second); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}
@@ -237,11 +231,11 @@ func TestWaitReadyAndStats(t *testing.T) {
 }
 
 func TestNewNormalizesBareHostPort(t *testing.T) {
-	c := New("127.0.0.1:9", Options{})
+	c := New("127.0.0.1:9")
 	if c.BaseURL() != "http://127.0.0.1:9" {
 		t.Errorf("BaseURL = %q", c.BaseURL())
 	}
-	c = New("https://example.com", Options{})
+	c = New("https://example.com")
 	if c.BaseURL() != "https://example.com" {
 		t.Errorf("BaseURL = %q", c.BaseURL())
 	}
@@ -279,24 +273,12 @@ func TestFunctionalOptionsConfigureClient(t *testing.T) {
 	if len(retries) != 2 {
 		t.Errorf("onRetry saw %v", retries)
 	}
-}
-
-func TestOptionsStructStillWorksAndComposesWithFunctionalOptions(t *testing.T) {
-	// v1 call sites pass the whole struct; it must keep working...
-	c := New("127.0.0.1:9", Options{MaxAttempts: 7})
-	if c.opt.MaxAttempts != 7 {
-		t.Errorf("struct option: MaxAttempts = %d", c.opt.MaxAttempts)
+	// Options apply left to right; none at all means the defaults.
+	if c := New(ts.URL, WithRetries(2), WithRetries(7)); c.opt.maxAttempts != 7 {
+		t.Errorf("later option lost: maxAttempts = %d", c.opt.maxAttempts)
 	}
-	// ...and compose left-to-right: later options override earlier ones,
-	// and a whole struct resets everything before it (v1 wholesale
-	// semantics).
-	c = New("127.0.0.1:9", WithRetries(2), Options{MaxAttempts: 7}, WithTimeout(time.Second))
-	if c.opt.MaxAttempts != 7 || c.opt.AttemptTimeout != time.Second {
-		t.Errorf("composed: MaxAttempts=%d AttemptTimeout=%v", c.opt.MaxAttempts, c.opt.AttemptTimeout)
-	}
-	c = New("127.0.0.1:9") // no options at all: defaults
-	if c.opt.MaxAttempts != 5 {
-		t.Errorf("default MaxAttempts = %d", c.opt.MaxAttempts)
+	if c := New(ts.URL); c.opt.maxAttempts != 5 || c.opt.attemptTimeout != 30*time.Second {
+		t.Errorf("defaults: maxAttempts=%d attemptTimeout=%v", c.opt.maxAttempts, c.opt.attemptTimeout)
 	}
 }
 

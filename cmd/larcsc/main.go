@@ -180,43 +180,6 @@ func runVet(args []string) error {
 	return nil
 }
 
-// resolveAlgo merges the documented -algo flag with its deprecated
-// -force alias (hidden from usage, kept parsing for old scripts).
-// Using the alias prints a one-line deprecation note; setting both to
-// different classes is an error.
-func resolveAlgo(force, algo string) (core.Class, error) {
-	if force != "" {
-		fmt.Fprintln(os.Stderr, "larcsc: -force is deprecated; use -algo")
-	}
-	if algo == "" {
-		return core.Class(force), nil
-	}
-	if force != "" && force != algo {
-		return "", fmt.Errorf("-algo %q conflicts with deprecated -force %q", algo, force)
-	}
-	return core.Class(algo), nil
-}
-
-// hideDeprecated replaces a flag set's usage output with one that skips
-// flags whose help text starts with "deprecated:" — the flags still
-// parse, they just stop advertising themselves.
-func hideDeprecated(fs *flag.FlagSet) {
-	fs.Usage = func() {
-		w := fs.Output()
-		fmt.Fprintf(w, "Usage of %s:\n", fs.Name())
-		fs.VisitAll(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Usage, "deprecated:") {
-				return
-			}
-			fmt.Fprintf(w, "  -%s\n    \t%s", f.Name, f.Usage)
-			if f.DefValue != "" && f.DefValue != "false" {
-				fmt.Fprintf(w, " (default %v)", f.DefValue)
-			}
-			fmt.Fprintln(w)
-		})
-	}
-}
-
 // runMap compiles a program and runs the MAPPER pipeline onto a target
 // network, optionally gated by the post-condition oracle.
 func runMap(args []string) error {
@@ -224,7 +187,6 @@ func runMap(args []string) error {
 	file := fs.String("file", "", "LaRCS source file")
 	wname := fs.String("workload", "", "bundled workload name instead of -file")
 	netSpec := fs.String("net", "", "target network, e.g. hypercube:3 or mesh:4,4")
-	force := fs.String("force", "", "deprecated: use -algo")
 	algo := fs.String("algo", "", "algorithm class to run: canned|systolic|group-theoretic|arbitrary|multilevel|recursive-bisection (empty = auto-dispatch)")
 	doCheck := fs.Bool("check", false, "verify the mapping with the post-condition oracle; violations exit 1")
 	parallel := fs.Int("parallel", 0, "worker budget for MAPPER's parallel hot paths (0 = all CPUs, 1 = sequential; result is identical at every setting)")
@@ -232,7 +194,6 @@ func runMap(args []string) error {
 	maxEdges := fs.Int("max-edges", 0, "cap on the expanded edge count (0 = default 4194304)")
 	binds := bindings{}
 	fs.Var(binds, "D", "parameter binding name=value (repeatable)")
-	hideDeprecated(fs)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
@@ -265,11 +226,7 @@ func runMap(args []string) error {
 	if err != nil {
 		return err
 	}
-	class, err := resolveAlgo(*force, *algo)
-	if err != nil {
-		return usageError{err}
-	}
-	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: class, Check: *doCheck, Parallelism: *parallel})
+	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: core.Class(*algo), Check: *doCheck, Parallelism: *parallel})
 	if err != nil {
 		var pe *core.PipelineError
 		var ve *check.ViolationError

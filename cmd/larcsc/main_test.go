@@ -76,7 +76,7 @@ func exitCode(t *testing.T, bin string, args ...string) (int, string) {
 func TestCLIErrors(t *testing.T) {
 	bin := buildCmd(t)
 	// Usage failures exit 2: no input, unknown workload, malformed
-	// binding, unreadable file.
+	// binding, unreadable file, unknown flag.
 	for _, args := range [][]string{
 		{},
 		{"-no-such-flag"},
@@ -86,6 +86,7 @@ func TestCLIErrors(t *testing.T) {
 		{"vet"},
 		{"vet", "-no-such-flag"},
 		{"vet", filepath.Join(t.TempDir(), "missing.larcs")},
+		{"map", "-workload", "jacobi", "-net", "hier:2,2,4", "-force", "arbitrary"}, // retired alias of -algo
 	} {
 		if code, out := exitCode(t, bin, args...); code != 2 {
 			t.Errorf("%v: exit %d, want 2\n%s", args, code, out)
@@ -222,9 +223,5 @@ func TestCLIAlgo(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "class multilevel") {
 		t.Errorf("class missing:\n%s", out)
-	}
-	// Conflicting -algo/-force is a usage error (exit 2).
-	if code, out := exitCode(t, bin, "map", "-workload", "jacobi", "-net", "hier:2,2,4", "-algo", "multilevel", "-force", "canned"); code != 2 || !strings.Contains(out, "conflicts with deprecated -force") {
-		t.Errorf("conflict: exit %d, want 2 with named conflict\n%s", code, out)
 	}
 }

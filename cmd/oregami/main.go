@@ -13,7 +13,7 @@
 // Usage:
 //
 //	oregami -workload nbody -D n=15 -D s=2 -net hypercube:3
-//	oregami -file prog.larcs -D n=64 -net mesh:8,8 -force arbitrary -shell
+//	oregami -file prog.larcs -D n=64 -net mesh:8,8 -algo arbitrary -shell
 //	oregami -workload nbody -net hypercube:3 -fail-procs 5 -fail-links 0
 //	oregami -workload nbody -net hypercube:3 -inject-faults step=1,proc=5
 //	oregami serve -addr 127.0.0.1:8080
@@ -104,52 +104,10 @@ func parseIDList(s string) ([]int, error) {
 	return out, nil
 }
 
-// resolveAlgo merges the documented -algo flag with its deprecated
-// -force alias (hidden from usage, kept parsing for old scripts).
-// Using the alias prints a one-line deprecation note; setting both to
-// different classes is an error.
-func resolveAlgo(force, algo string) (core.Class, error) {
-	if force != "" {
-		fmt.Fprintln(os.Stderr, "oregami: -force is deprecated; use -algo")
-	}
-	if algo == "" {
-		return core.Class(force), nil
-	}
-	if force != "" && force != algo {
-		return "", fmt.Errorf("-algo %q conflicts with deprecated -force %q", algo, force)
-	}
-	return core.Class(algo), nil
-}
-
-// hideDeprecated replaces a flag set's usage output with one that skips
-// flags whose help text starts with "deprecated:" — the flags still
-// parse, they just stop advertising themselves.
-func hideDeprecated(fs *flag.FlagSet) {
-	fs.Usage = func() {
-		w := fs.Output()
-		if fs.Name() == "" {
-			fmt.Fprintln(w, "Usage:")
-		} else {
-			fmt.Fprintf(w, "Usage of %s:\n", fs.Name())
-		}
-		fs.VisitAll(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Usage, "deprecated:") {
-				return
-			}
-			fmt.Fprintf(w, "  -%s\n    \t%s", f.Name, f.Usage)
-			if f.DefValue != "" && f.DefValue != "false" {
-				fmt.Fprintf(w, " (default %v)", f.DefValue)
-			}
-			fmt.Fprintln(w)
-		})
-	}
-}
-
 func run(out *os.File) error {
 	file := flag.String("file", "", "LaRCS source file")
 	wname := flag.String("workload", "", "bundled workload name")
 	netSpec := flag.String("net", "", "target network, e.g. hypercube:3 or mesh:4,4")
-	force := flag.String("force", "", "deprecated: use -algo")
 	algo := flag.String("algo", "", "algorithm class to run: canned|systolic|group-theoretic|arbitrary|multilevel|recursive-bisection (empty = auto-dispatch)")
 	doSim := flag.Bool("sim", true, "simulate the phase schedule and report completion time")
 	dot := flag.Bool("dot", false, "emit the mapping as Graphviz DOT and exit")
@@ -164,7 +122,6 @@ func run(out *os.File) error {
 	flag.Var(&injected, "inject-faults", "mid-simulation fault event, e.g. step=2,proc=1,link=5 (repeatable)")
 	binds := bindings{}
 	flag.Var(binds, "D", "parameter binding name=value (repeatable)")
-	hideDeprecated(flag.CommandLine)
 	flag.Parse()
 
 	if *netSpec == "" {
@@ -242,11 +199,7 @@ func run(out *os.File) error {
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 = all CPUs), got %d", *parallel)
 	}
-	class, err := resolveAlgo(*force, *algo)
-	if err != nil {
-		return err
-	}
-	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: class, Check: *doCheck, Parallelism: *parallel})
+	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: core.Class(*algo), Check: *doCheck, Parallelism: *parallel})
 	if err != nil {
 		return err
 	}

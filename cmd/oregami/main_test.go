@@ -38,12 +38,12 @@ func TestCLIPipeline(t *testing.T) {
 
 func TestCLIForceAndMeshNet(t *testing.T) {
 	bin := buildCmd(t)
-	out, err := exec.Command(bin, "-workload", "jacobi", "-net", "mesh:4,4", "-force", "arbitrary", "-sim=false").CombinedOutput()
+	out, err := exec.Command(bin, "-workload", "jacobi", "-net", "mesh:4,4", "-algo", "arbitrary", "-sim=false").CombinedOutput()
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "MAPPER class: arbitrary") {
-		t.Errorf("force ignored:\n%s", out)
+		t.Errorf("-algo ignored:\n%s", out)
 	}
 }
 
@@ -69,9 +69,9 @@ func TestCLIErrors(t *testing.T) {
 		{},
 		{"-workload", "nbody"},                  // no net
 		{"-workload", "nbody", "-net", "bogus"}, // bad net syntax
-		{"-workload", "nbody", "-net", "nosuch:3"},                       // unknown family
-		{"-workload", "zzz", "-net", "hypercube:3"},                      // unknown workload
-		{"-workload", "nbody", "-net", "mesh:2,2", "-force", "systolic"}, // inapplicable force
+		{"-workload", "nbody", "-net", "nosuch:3"},                      // unknown family
+		{"-workload", "zzz", "-net", "hypercube:3"},                     // unknown workload
+		{"-workload", "nbody", "-net", "mesh:2,2", "-algo", "systolic"}, // inapplicable class
 	} {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 			t.Errorf("args %v accepted:\n%s", args, out)
@@ -152,6 +152,7 @@ func TestCLIBadFlagsExit2(t *testing.T) {
 		{"-D", "not-a-binding"},
 		{"serve", "-no-such-flag"},
 		{"serve", "-workers", "x"},
+		{"-workload", "nbody", "-net", "hypercube:3", "-force", "arbitrary"}, // retired alias of -algo
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if got := exitCode(err); got != 2 {
@@ -264,16 +265,5 @@ func TestCLIAlgoMultilevel(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "MAPPER class: recursive-bisection") {
 		t.Errorf("baseline class missing:\n%s", out)
-	}
-	// -algo agreeing with -force is fine; conflicting is a usage error.
-	if out, err := exec.Command(bin, "-workload", "nbody", "-net", "hypercube:3", "-algo", "arbitrary", "-force", "arbitrary", "-sim=false").CombinedOutput(); err != nil {
-		t.Errorf("agreeing -algo/-force rejected: %v\n%s", err, out)
-	}
-	out, err = exec.Command(bin, "-workload", "nbody", "-net", "hypercube:3", "-algo", "multilevel", "-force", "canned").CombinedOutput()
-	if err == nil {
-		t.Fatalf("conflicting -algo/-force accepted:\n%s", out)
-	}
-	if !strings.Contains(string(out), "conflicts with deprecated -force") {
-		t.Errorf("conflict error not named:\n%s", out)
 	}
 }

@@ -117,9 +117,9 @@ func TestDetectWorkloads(t *testing.T) {
 func dilationOf(t *testing.T, nw *topology.Network, tg *graph.TaskGraph, canon []int, e *Embedding, target *topology.Network) (int, float64) {
 	t.Helper()
 	maxD, sum, count := 0, 0, 0
-	for pair := range tg.CollapsedWeights() {
-		p1 := e.Proc[canon[pair[0]]]
-		p2 := e.Proc[canon[pair[1]]]
+	for _, pair := range tg.CollapsedEntries(1) {
+		p1 := e.Proc[canon[pair.A]]
+		p2 := e.Proc[canon[pair.B]]
 		d := target.Distance(p1, p2)
 		if d == 0 {
 			t.Fatalf("two tasks on one processor in a 1:1 embedding")

@@ -67,8 +67,8 @@ func AssignmentCost(g *graph.TaskGraph, part []int, execA, execB []float64) floa
 			cost += execB[t]
 		}
 	}
-	// Sorted entries, not the CollapsedWeights map, so the float objective
-	// is bit-identical between runs.
+	// Sorted entries, not a map, so the float objective is bit-identical
+	// between runs.
 	for _, e := range g.CollapsedEntries(1) {
 		if part[e.A] != part[e.B] {
 			cost += e.W

@@ -45,7 +45,7 @@ func NNEmbedCtx(ctx context.Context, cg *graph.TaskGraph, net *topology.Network)
 		w    float64
 	}
 	// Walk the flat collapsed graph's upper triangle; the CSR carries the
-	// same per-pair weights the CollapsedWeights map used to.
+	// per-pair weights in the historical chain order.
 	csr := cg.CSR()
 	edges := make([]cedge, 0, csr.NumPairs())
 	for a := 0; a < k; a++ {
@@ -202,8 +202,8 @@ func Random(k int, net *topology.Network, seed int64) ([]int, error) {
 // distance (max dilation). Lower is better; dilation 1 everywhere means
 // the cluster graph is a subgraph of the network.
 func WeightedDilation(cg *graph.TaskGraph, net *topology.Network, place []int) (total float64, maxHops int) {
-	// Sorted entries, not the CollapsedWeights map: the float total must
-	// not depend on map iteration order.
+	// Sorted entries, not a map: the float total must not depend on map
+	// iteration order.
 	for _, e := range cg.CollapsedEntries(1) {
 		d := net.Distance(place[e.A], place[e.B])
 		total += e.W * float64(d)

@@ -66,9 +66,9 @@ func (g *TaskGraph) MaxDegree() int {
 // assigned to different parts under the given partition (part[v] = part id
 // of task v). This is the "total IPC" objective of MWM-Contract.
 func (g *TaskGraph) EdgeCut(part []int) float64 {
-	// Iterate the sorted collapsed entries, not the CollapsedWeights map:
-	// float addition is not associative, so summing in map order made the
-	// cut differ in the last ulp between runs.
+	// Iterate the sorted collapsed entries, not a map: float addition is
+	// not associative, so summing in map order made the cut differ in the
+	// last ulp between runs.
 	var cut float64
 	for _, e := range g.CollapsedEntries(1) {
 		if part[e.A] != part[e.B] {

@@ -1,9 +1,10 @@
 package graph
 
 // This file is the flat core of the collapsed static graph: the
-// map-shaped views (CollapsedWeights, per-call seen-sets) that dominated
-// the pipeline's allocation profile are replaced by offset/adjacency
-// arrays built once and shared by every hot caller (ROADMAP item 1).
+// map-shaped views (a collapsed-weight map, per-call seen-sets) that
+// dominated the pipeline's allocation profile are replaced by
+// offset/adjacency arrays built once and shared by every hot caller
+// (ROADMAP item 1).
 
 //oregami:hot
 
@@ -13,7 +14,7 @@ import "oregami/internal/par"
 // Row v spans Adj[Off[v]:Off[v+1]]: the distinct neighbors of task v in
 // ascending order, with W aligned slot for slot carrying the total
 // undirected communication volume between the pair, accumulated in the
-// CollapsedWeights chain order (see the note there) so the floats are
+// flatWeights chain order (see the note there) so the floats are
 // bit-identical to the map-era Undirected values. A CSR is immutable
 // once built and safe to share across goroutines.
 type CSR struct {

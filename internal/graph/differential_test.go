@@ -17,9 +17,9 @@ import (
 	"oregami/internal/graph"
 )
 
-// refChainWeights is the historical CollapsedWeights algorithm: one map,
-// accumulated pair by pair in phase-then-edge order (a single addition
-// chain per pair).
+// refChainWeights is the historical map algorithm behind the CSR
+// weights: one map, accumulated pair by pair in phase-then-edge order (a
+// single addition chain per pair).
 func refChainWeights(g *graph.TaskGraph) map[[2]int]float64 {
 	w := make(map[[2]int]float64)
 	for _, p := range g.Comm {
@@ -80,22 +80,45 @@ func diffSize(r *rand.Rand) gen.GraphSize {
 	}
 }
 
+// thirds copies g with every edge weight divided by 3, so pair sums
+// become sensitive to addition order.
+func thirds(g *graph.TaskGraph) *graph.TaskGraph {
+	f := graph.New(g.Name, g.NumTasks)
+	for _, p := range g.Comm {
+		fp := f.AddCommPhase(p.Name)
+		for _, e := range p.Edges {
+			f.AddEdge(fp, e.From, e.To, e.Weight/3)
+		}
+	}
+	return f
+}
+
+// TestCollapsedWeightsMatchesMapReferee checks both accumulation orders
+// on fractional weights, where they can differ in the last ulp: the CSR
+// must match the single-chain referee and CollapsedEntries the
+// per-phase-subtotal referee, bit for bit. gen's integer weights sum
+// exactly in any order, so the other differentials cannot tell the two
+// orders apart.
 func TestCollapsedWeightsMatchesMapReferee(t *testing.T) {
 	gen.ForEachSeed(t, 60, func(t *testing.T, seed int64, r *rand.Rand) {
-		g := gen.TaskGraph(r, diffSize(r))
-		ref := refChainWeights(g)
-		got := g.CollapsedWeights()
-		if len(got) != len(ref) {
-			t.Fatalf("CollapsedWeights has %d pairs, referee %d", len(got), len(ref))
+		g := thirds(gen.TaskGraph(r, diffSize(r)))
+		chain, phase := refChainWeights(g), refPhaseWeights(g)
+		c := g.CSR()
+		if c.NumPairs() != len(chain) {
+			t.Fatalf("CSR has %d pairs, referee %d", c.NumPairs(), len(chain))
 		}
-		for k, w := range ref {
-			gw, ok := got[k]
-			if !ok {
-				t.Fatalf("pair %v missing from CollapsedWeights", k)
+		for k, w := range chain {
+			if got, ok := c.WeightBetween(k[0], k[1]); !ok || !sameBits(got, w) {
+				t.Fatalf("pair %v: CSR weight %v (present=%v), chain referee %v", k, got, ok, w)
 			}
-			if !sameBits(gw, w) {
-				t.Fatalf("pair %v weight %v (bits %x), referee %v (bits %x)",
-					k, gw, math.Float64bits(gw), w, math.Float64bits(w))
+		}
+		entries := g.CollapsedEntries(1)
+		if len(entries) != len(phase) {
+			t.Fatalf("CollapsedEntries has %d pairs, referee %d", len(entries), len(phase))
+		}
+		for _, e := range entries {
+			if w := phase[[2]int{e.A, e.B}]; !sameBits(e.W, w) {
+				t.Fatalf("pair (%d,%d): entry weight %v, phase referee %v", e.A, e.B, e.W, w)
 			}
 		}
 	})

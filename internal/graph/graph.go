@@ -290,31 +290,15 @@ func (g *TaskGraph) Clone() *TaskGraph {
 	return c
 }
 
-// CollapsedWeights returns, as a symmetric weight map keyed by ordered
-// pairs, the total communication volume between each pair of distinct
-// tasks summed over all phases and both directions. It is a thin map
-// adapter over the flat collapsed entries kept for random-access
-// callers; the hot paths consume CollapsedEntries or the CSR directly.
-//
-// Accumulation order note: CollapsedWeights sums each pair's edge
-// weights in one chain, in phase-then-edge order — the order the
-// historical map implementation used — while CollapsedEntries keeps the
-// two-level per-phase-subtotal order of the historical parallel merge.
-// The two can differ in the last ulp on non-integer weights, and
-// callers were written against one or the other, so both orders are
-// preserved exactly.
-func (g *TaskGraph) CollapsedWeights() map[[2]int]float64 {
-	entries := g.flatWeights()
-	w := make(map[[2]int]float64, len(entries))
-	for _, e := range entries {
-		w[[2]int{e.A, e.B}] = e.W
-	}
-	return w
-}
-
 // flatWeights returns the collapsed pairs sorted by (A, B) with each
-// weight accumulated in one chain over phase-then-edge order (the
-// CollapsedWeights order; see the note there).
+// weight accumulated in one chain over phase-then-edge order, the order
+// of the historical map implementation; buildCSR consumes it.
+//
+// Accumulation order note: this chain order differs from
+// CollapsedEntries, which keeps the two-level per-phase-subtotal order
+// of the historical parallel merge. The two can differ in the last ulp
+// on non-integer weights, and callers were written against one or the
+// other, so both orders are preserved exactly.
 func (g *TaskGraph) flatWeights() []CollapsedEntry {
 	ts := g.collapseTriples(1)
 	out := make([]CollapsedEntry, 0, len(ts))
@@ -344,8 +328,8 @@ type CollapsedEntry struct {
 // within a phase into a subtotal, subtotals added in phase declaration
 // order — regardless of the worker count, so the weights (and
 // everything contracted from them) are bit-identical at any
-// parallelism. Contraction consumes this form; the map-shaped
-// CollapsedWeights remains for random-access callers.
+// parallelism. Contraction consumes this form; random-access callers
+// use the CSR.
 func (g *TaskGraph) CollapsedEntries(workers int) []CollapsedEntry {
 	ts := g.collapseTriples(workers)
 	out := make([]CollapsedEntry, 0, len(ts))

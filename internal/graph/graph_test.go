@@ -95,12 +95,12 @@ func TestCollapsedWeightsMergesDirections(t *testing.T) {
 	g.AddEdge(p, 1, 0, 4)
 	q := g.AddCommPhase("q")
 	g.AddEdge(q, 0, 1, 5)
-	w := g.CollapsedWeights()
+	w := g.CollapsedEntries(1)
 	if len(w) != 1 {
-		t.Fatalf("collapsed map has %d entries, want 1", len(w))
+		t.Fatalf("collapsed graph has %d entries, want 1", len(w))
 	}
-	if got := w[[2]int{0, 1}]; got != 12 {
-		t.Errorf("collapsed weight = %g, want 12", got)
+	if got := w[0]; got != (CollapsedEntry{A: 0, B: 1, W: 12}) {
+		t.Errorf("collapsed entry = %+v, want {0 1 12}", got)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestCollapsedIgnoresSelfLoops(t *testing.T) {
 	g := New("g", 2)
 	p := g.AddCommPhase("p")
 	g.AddEdge(p, 0, 0, 7)
-	if len(g.CollapsedWeights()) != 0 {
+	if len(g.CollapsedEntries(1)) != 0 || g.CSR().NumPairs() != 0 {
 		t.Error("self loop appeared in collapsed weights")
 	}
 }
@@ -291,9 +291,10 @@ func TestEdgeCutExtremesProperty(t *testing.T) {
 			diff[i] = i
 		}
 		var total float64
-		for _, w := range g.CollapsedWeights() {
-			total += w
+		for _, w := range g.CSR().W {
+			total += w // each pair sits on both of its rows
 		}
+		total /= 2
 		return g.EdgeCut(same) == 0 && g.EdgeCut(diff) == total
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -22,11 +22,11 @@ import (
 // response envelope (success, error, and batch alike) as "apiVersion".
 // Clients should reject envelopes whose version they do not understand.
 //
-// v2 (this release) moved the request knobs into the options{} envelope
-// (options.algo/check/nocache; the v1 top-level check/nocache and
-// options.force spellings remain accepted as deprecated aliases for one
-// release), added node/proxied to response envelopes for cluster mode,
-// and made /v1/map/batch stream NDJSON by default.
+// v2 moved the request knobs into the options{} envelope
+// (options.algo/check/nocache), added node/proxied to response envelopes
+// for cluster mode, and made /v1/map/batch stream NDJSON or SSE. The v1
+// spellings (top-level check/nocache, options.force) are unknown fields
+// now and get a 400 that names them.
 const APIVersion = "v2"
 
 // MapRequest is the body of POST /v1/map: a LaRCS program (inline source
@@ -44,17 +44,9 @@ type MapRequest struct {
 	// Net is the target network spec in CLI syntax, e.g. "hypercube:3"
 	// or "mesh:4,4".
 	Net string `json:"net"`
-	// Options tune the MAPPER dispatcher (the v2 envelope; request
-	// behavior knobs live here too as options.check / options.nocache).
+	// Options tune the MAPPER dispatcher and carry the request behavior
+	// knobs options.check and options.nocache.
 	Options *MapRequestOptions `json:"options,omitempty"`
-	// Check is the deprecated v1 spelling of options.check (also
-	// settable with ?check=1); either one runs the post-condition oracle
-	// on the served mapping, and violations fail the request with 422.
-	Check bool `json:"check,omitempty"`
-	// NoCache is the deprecated v1 spelling of options.nocache; either
-	// one bypasses the result cache lookup (the result is still stored),
-	// forcing a full computation — the load generator's cold phase.
-	NoCache bool `json:"nocache,omitempty"`
 }
 
 // MapRequestOptions mirrors the result-affecting oregami.MapOptions plus
@@ -66,15 +58,13 @@ type MapRequestOptions struct {
 	// the scale-oriented multilevel/recursive-bisection mappers are
 	// never auto-selected).
 	Algo string `json:"algo,omitempty"`
-	// Force is the deprecated v1 spelling of Algo. Setting both to
-	// different classes is a 400.
-	Force string `json:"force,omitempty"`
-	// Check is the v2 home of MapRequest.Check: run the post-condition
-	// oracle on the served mapping.
+	// Check runs the post-condition oracle on the served mapping (also
+	// settable with ?check=1); violations fail the request with 422.
 	Check bool `json:"check,omitempty"`
-	// NoCache is the v2 home of MapRequest.NoCache: bypass the result
-	// cache lookup. NoCache requests are never proxied to the owning
-	// cluster node — a bypass measures this node's pipeline.
+	// NoCache bypasses the result cache lookup (the result is still
+	// stored), forcing a full computation — the load generator's cold
+	// phase. NoCache requests are never proxied to the owning cluster
+	// node — a bypass measures this node's pipeline.
 	NoCache bool `json:"nocache,omitempty"`
 	// MaxTasksPerProc is MWM-Contract's load-balance bound B.
 	MaxTasksPerProc int `json:"max_tasks_per_proc,omitempty"`
@@ -185,15 +175,6 @@ type BatchItem struct {
 	MapResponse
 }
 
-// BatchResponse is the buffered body of POST /v1/map/batch when the
-// client asks for the deprecated v1 shape with "Accept:
-// application/json": per-item results in request order. The default
-// (and NDJSON/SSE) response is a stream of BatchItem lines instead.
-type BatchResponse struct {
-	APIVersion string        `json:"apiVersion"`
-	Results    []MapResponse `json:"results"`
-}
-
 // StatsResponse is the body of GET /v1/stats?json=1.
 type StatsResponse struct {
 	APIVersion string      `json:"apiVersion"`
@@ -234,8 +215,6 @@ type resolved struct {
 	net          *topology.Network
 	opts         MapRequestOptions
 	key          string
-	check        bool
-	nocache      bool
 	timeout      time.Duration
 	stageTimeout time.Duration
 	// parallelism is the effective worker budget for this request's
@@ -261,8 +240,6 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 	r := &resolved{
 		name:     "source",
 		bindings: make(map[string]int),
-		check:    req.Check,
-		nocache:  req.NoCache,
 	}
 	src := req.Source
 	if req.Workload != "" {
@@ -292,16 +269,6 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 	r.net = net
 	if req.Options != nil {
 		r.opts = *req.Options
-		// Merge the deprecated v1 spellings into their v2 homes: force is
-		// an alias of algo, and options.check/nocache OR with the
-		// top-level flags.
-		if r.opts.Force != "" {
-			if r.opts.Algo != "" && r.opts.Algo != r.opts.Force {
-				return nil, badRequest("options.algo %q and deprecated options.force %q disagree; set only algo", r.opts.Algo, r.opts.Force)
-			}
-			r.opts.Algo = r.opts.Force
-			r.opts.Force = ""
-		}
 		switch r.opts.Algo {
 		case "", "auto", string(core.ClassCanned), string(core.ClassSystolic),
 			string(core.ClassGroup), string(core.ClassArbitrary),
@@ -317,8 +284,6 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 		if r.opts.Algo == "auto" {
 			r.opts.Algo = ""
 		}
-		r.check = r.check || r.opts.Check
-		r.nocache = r.nocache || r.opts.NoCache
 	}
 	// The effective budget is the server's per-request share of the
 	// machine; a request may only lower it.

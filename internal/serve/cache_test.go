@@ -10,6 +10,7 @@ import (
 
 	"oregami/internal/check"
 	"oregami/internal/core"
+	"oregami/internal/larcs"
 	"oregami/internal/serve/stats"
 	"oregami/internal/topology"
 	"oregami/internal/workload"
@@ -213,5 +214,25 @@ func TestSingleflightDeduplicates(t *testing.T) {
 	}
 	if calls >= n {
 		t.Errorf("fn ran %d times; singleflight deduplicated nothing", calls)
+	}
+}
+
+// TestCacheKeyGolden pins the exact key of one fixed request. Persisted
+// stores are addressed by these keys, so an edit to MapRequestOptions or
+// to the digest format that changes the hex silently cold-starts every
+// store written before it. Change the golden value only deliberately.
+func TestCacheKeyGolden(t *testing.T) {
+	const canonical = "algorithm ring(n);\nnodetype node 0..(n - 1);\ncomphase step {\n    forall i in 0..(n - 1) : node(i) -> node(((i + 1) mod n)) volume 1;\n}\nphases step;\n"
+	prog, err := larcs.Parse(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := larcs.Format(prog); got != canonical {
+		t.Fatalf("golden source is not canonical:\n%s", got)
+	}
+	const want = "a64be661abbb28d74a6f5d7dd0380555ab6f99823fa15dfdc53e504068abb3db"
+	got := cacheKey(canonical, map[string]int{"n": 8}, "hypercube(3)", &MapRequestOptions{Algo: "arbitrary"})
+	if got != want {
+		t.Errorf("cacheKey = %s, want %s", got, want)
 	}
 }

@@ -380,25 +380,8 @@ func TestAlgoOptionReachesScaleMappersOverHTTP(t *testing.T) {
 			t.Errorf("algo %q: status=%d class=%q violations=%v", algo, status, resp.Class, resp.Violations)
 		}
 	}
-	// The deprecated force spelling still works and lands on the same
-	// cache entry as algo.
-	status, forced := postMap(t, ts.URL, MapRequest{
-		Workload: "nbody", Net: "hypercube:3",
-		Options: &MapRequestOptions{Force: "multilevel"},
-	}, "")
-	if status != http.StatusOK || forced.Cache != "hit" || forced.Class != "multilevel" {
-		t.Errorf("force alias: status=%d cache=%q class=%q, want hit via alias", status, forced.Cache, forced.Class)
-	}
-	// Disagreeing spellings are a 400, not a silent pick.
-	status, _ = postMap(t, ts.URL, MapRequest{
-		Workload: "nbody", Net: "hypercube:3",
-		Options: &MapRequestOptions{Algo: "multilevel", Force: "arbitrary"},
-	}, "")
-	if status != http.StatusBadRequest {
-		t.Errorf("algo/force disagreement status = %d, want 400", status)
-	}
 	// Unknown algos name the full class list.
-	status, _ = postMap(t, ts.URL, MapRequest{
+	status, _ := postMap(t, ts.URL, MapRequest{
 		Workload: "nbody", Net: "hypercube:3",
 		Options: &MapRequestOptions{Algo: "simulated-annealing"},
 	}, "")
@@ -414,11 +397,6 @@ func TestOptionsEnvelopeCheckAndNoCacheAliases(t *testing.T) {
 	status, resp := postMap(t, ts.URL, req, "")
 	if status != http.StatusOK || !resp.Checked {
 		t.Errorf("options.check: status=%d checked=%v", status, resp.Checked)
-	}
-	// Deprecated top-level spelling still works.
-	status, resp = postMap(t, ts.URL, MapRequest{Workload: "nbody", Net: "hypercube:3", Check: true}, "")
-	if status != http.StatusOK || !resp.Checked {
-		t.Errorf("top-level check: status=%d checked=%v", status, resp.Checked)
 	}
 	status, resp = postMap(t, ts.URL, MapRequest{Workload: "nbody", Net: "hypercube:3",
 		Options: &MapRequestOptions{NoCache: true}}, "")

@@ -72,6 +72,10 @@ func TestUnknownRequestFieldsRejectedByName(t *testing.T) {
 		{"nested option", "/v1/map", `{"workload":"nbody","net":"hypercube:3","options":{"parallel":2}}`, "parallel"},
 		{"vet", "/v1/vet", `{"source":"x","sources":"y"}`, "sources"},
 		{"batch item", "/v1/map/batch", `[{"workload":"nbody","net":"hypercube:3","chck":true}]`, "chck"},
+		// The retired v1 spellings of options.check/nocache/algo.
+		{"v1 check", "/v1/map", `{"workload":"nbody","net":"hypercube:3","check":true}`, "check"},
+		{"v1 nocache", "/v1/map", `{"workload":"nbody","net":"hypercube:3","nocache":true}`, "nocache"},
+		{"v1 force", "/v1/map", `{"workload":"nbody","net":"hypercube:3","options":{"force":"arbitrary"}}`, "force"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -520,7 +520,7 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 	if herr != nil {
 		return MapResponse{}, herr
 	}
-	r.check = r.check || queryCheck
+	r.opts.Check = r.opts.Check || queryCheck
 	s.reg.Requests.Add(1)
 
 	// Cluster routing: a non-owner forwards the request to the key's
@@ -529,7 +529,7 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 	// owner's circuit is open. Any proxy failure degrades to local
 	// computation below — a dead owner costs warm capacity, not
 	// availability.
-	if s.cluster != nil && forwarded == "" && !r.nocache {
+	if s.cluster != nil && forwarded == "" && !r.opts.NoCache {
 		if owner := s.cluster.Owner(r.key); owner != s.cluster.Self() {
 			if resp, ok := s.proxyToOwner(ctx, req, r, owner); ok {
 				resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
@@ -545,7 +545,7 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 
 	var entry *cacheEntry
 	how := "miss"
-	if r.nocache {
+	if r.opts.NoCache {
 		s.reg.CacheBypass.Add(1)
 		how = "bypass"
 		e, err := s.computeAdmitted(ctx, r)
@@ -563,7 +563,7 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 		// warm-restored (mapping-less) entry counts as a miss for them.
 		hit := false
 		e, err, shared := s.flights.do(r.key, func() (*cacheEntry, error) {
-			if e, ok := s.cache.get(r.key, r.check); ok {
+			if e, ok := s.cache.get(r.key, r.opts.Check); ok {
 				hit = true
 				return e, nil
 			}
@@ -592,7 +592,7 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 
 	resp := entry.resp // struct copy; slices shared read-only
 	resp.Cache = how
-	if r.check {
+	if r.opts.Check {
 		resp.Checked = true
 		if violations := s.runOracle(entry); len(violations) > 0 {
 			// A cached mapping failing the oracle means the entry went
@@ -623,7 +623,7 @@ func (s *Server) proxyToOwner(ctx context.Context, req *MapRequest, r *resolved,
 		return MapResponse{}, false
 	}
 	path := "/v1/map"
-	if r.check {
+	if r.opts.Check {
 		path += "?check=1"
 	}
 	payload, status, err := s.cluster.Forward(ctx, owner, path, body)
@@ -714,39 +714,13 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// batchMode is the negotiated /v1/map/batch response framing.
-type batchMode int
-
-const (
-	batchNDJSON   batchMode = iota // default: one BatchItem JSON line per result
-	batchSSE                       // Accept: text/event-stream — "data: <BatchItem>\n\n" events
-	batchBuffered                  // Accept: application/json — deprecated v1 BatchResponse
-)
-
-// negotiateBatch picks the response framing from the Accept header.
-// NDJSON is the default; an explicit application/json (without the
-// ndjson subtype) selects the deprecated buffered v1 body.
-func negotiateBatch(accept string) batchMode {
-	switch {
-	case strings.Contains(accept, "text/event-stream"):
-		return batchSSE
-	case strings.Contains(accept, "application/x-ndjson"):
-		return batchNDJSON
-	case strings.Contains(accept, "application/json"):
-		return batchBuffered
-	default:
-		return batchNDJSON
-	}
-}
-
 // handleBatch fans the items out across the worker pool and streams each
 // result the moment it completes — NDJSON by default, SSE behind
 // Accept: text/event-stream — so batch memory is O(1) per item and the
 // first result arrives before the slowest computes. Items are framed as
 // BatchItem (completion order, index for reassembly). A client that
 // disconnects mid-stream cancels the remaining computations through the
-// request context. The deprecated buffered BatchResponse body is still
-// served to clients that ask for Accept: application/json.
+// request context.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
@@ -772,7 +746,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	queryCheck := r.URL.Query().Get("check") == "1"
-	mode := negotiateBatch(r.Header.Get("Accept"))
+	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	ctx := r.Context()
 
 	items := make(chan BatchItem)
@@ -800,16 +774,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		close(items)
 	}()
 
-	if mode == batchBuffered {
-		resps := make([]MapResponse, len(reqs))
-		for item := range items {
-			resps[item.Index] = item.MapResponse
-		}
-		writeJSON(w, http.StatusOK, BatchResponse{APIVersion: APIVersion, Results: resps})
-		return
-	}
-
-	if mode == batchSSE {
+	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 	} else {
@@ -826,7 +791,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		if mode == batchSSE {
+		if sse {
 			_, err = fmt.Fprintf(w, "data: %s\n\n", line)
 		} else {
 			_, err = fmt.Fprintf(w, "%s\n", line)
@@ -840,7 +805,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	if mode == batchSSE && !broken {
+	if sse && !broken {
 		fmt.Fprint(w, "event: done\ndata: {}\n\n")
 	}
 }

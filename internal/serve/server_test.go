@@ -108,7 +108,8 @@ func TestMapInlineSourceSharesCacheWithLayoutVariants(t *testing.T) {
 
 func TestMapNoCacheBypass(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := MapRequest{Workload: "broadcast8", Net: "hypercube:3", NoCache: true}
+	req := MapRequest{Workload: "broadcast8", Net: "hypercube:3",
+		Options: &MapRequestOptions{NoCache: true}}
 	if _, resp := postMap(t, ts.URL, req, ""); resp.Cache != "bypass" {
 		t.Errorf("cache = %q, want bypass", resp.Cache)
 	}
@@ -119,7 +120,7 @@ func TestMapNoCacheBypass(t *testing.T) {
 		t.Errorf("bypass counter = %d, want 2", s.Stats().CacheBypass.Load())
 	}
 	// The bypass results were still stored: a normal request now hits.
-	req.NoCache = false
+	req.Options = nil
 	if _, resp := postMap(t, ts.URL, req, ""); resp.Cache != "hit" {
 		t.Errorf("post-bypass cache = %q, want hit", resp.Cache)
 	}
@@ -139,7 +140,7 @@ func TestMapErrors(t *testing.T) {
 		{"bad net spec", MapRequest{Workload: "nbody", Net: "hyprcube:3"}, 400, "hyprcube"},
 		{"unknown workload", MapRequest{Workload: "nosuch", Net: "hypercube:3"}, 400, "unknown workload"},
 		{"parse error", MapRequest{Source: "not larcs", Net: "hypercube:3"}, 422, "parse"},
-		{"bad force", MapRequest{Workload: "nbody", Net: "hypercube:3", Options: &MapRequestOptions{Force: "magic"}}, 400, "magic"},
+		{"bad force", MapRequest{Workload: "nbody", Net: "hypercube:3", Options: &MapRequestOptions{Algo: "magic"}}, 400, "magic"},
 		{"compile error", MapRequest{Workload: "nbody", Net: "hypercube:3", Bindings: map[string]int{"n": -3}}, 422, "compile"},
 	}
 	for _, tc := range cases {
@@ -265,8 +266,8 @@ func TestBatch(t *testing.T) {
 		{Workload: "nbody", Net: "hypercube:3"}, // duplicate of [0]
 	}
 	body, _ := json.Marshal(reqs)
-	// Accept: application/json selects the deprecated buffered v1 body;
-	// the streaming default is covered by TestBatchStreamsNDJSON.
+	// Every non-SSE batch streams NDJSON in completion order, an
+	// explicit Accept: application/json included.
 	breq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/map/batch", bytes.NewReader(body))
 	breq.Header.Set("Content-Type", "application/json")
 	breq.Header.Set("Accept", "application/json")
@@ -278,16 +279,29 @@ func TestBatch(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var batch BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		t.Fatal(err)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("Accept: application/json got content-type %q, want application/x-ndjson", ct)
 	}
-	if batch.APIVersion != APIVersion {
-		t.Errorf("batch apiVersion = %q, want %q", batch.APIVersion, APIVersion)
+	// Reassemble the stream into request order by index.
+	out := make([]*MapResponse, len(reqs))
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var item BatchItem
+		if err := dec.Decode(&item); err != nil {
+			t.Fatal(err)
+		}
+		if item.APIVersion != APIVersion {
+			t.Errorf("item apiVersion = %q, want %q", item.APIVersion, APIVersion)
+		}
+		if item.Index < 0 || item.Index >= len(out) || out[item.Index] != nil {
+			t.Fatalf("bad or repeated index %d", item.Index)
+		}
+		out[item.Index] = &item.MapResponse
 	}
-	out := batch.Results
-	if len(out) != 4 {
-		t.Fatalf("got %d responses, want 4", len(out))
+	for i, r := range out {
+		if r == nil {
+			t.Fatalf("item %d never streamed", i)
+		}
 	}
 	if out[0].Error != "" || out[1].Error != "" || out[3].Error != "" {
 		t.Errorf("unexpected item errors: %+v", out)

@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -207,12 +208,17 @@ func (p *phaseStats) result(name string, c int) Result {
 	}
 }
 
-// runPhase fires n closed-loop requests across c workers, round-robin
-// over the mix. When want is non-nil, responses are checked against the
-// expected fingerprint of their mix slot (want[i] == "" skips the
-// check); the first fingerprint seen per slot is recorded in FPs.
-func runPhase(cl *client.Client, mix []target, n, c int, nocache, check bool, want []string) *phaseStats {
-	st := &phaseStats{Lat: make([]time.Duration, 0, n), FPs: make([]string, len(mix))}
+// drive is the one request loop behind every mode. c closed-loop
+// workers claim request indexes in order; request i asks mix slot
+// i%len(mix) on client (i/len(mix))%len(cls), so the receiving client
+// rotates once per full pass over the mix and every slot is eventually
+// asked on every client (in a cluster, non-owners must proxy; proxied
+// cache hits count as CrossHit). It stops after n requests or once stop
+// closes, whichever comes first; a nil stop never closes. The first
+// fingerprint seen per slot is recorded in FPs, and when want is
+// non-nil each response is checked against want[slot] ("" skips).
+func drive(cls []*client.Client, mix []target, n, c int, opts client.MapOptions, want []string, stop <-chan struct{}) *phaseStats {
+	st := &phaseStats{FPs: make([]string, len(mix))}
 	var next int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -222,16 +228,20 @@ func runPhase(cl *client.Client, mix []target, n, c int, nocache, check bool, wa
 		go func() {
 			defer wg.Done()
 			for {
-				i := atomic.AddInt64(&next, 1) - 1
-				if i >= int64(n) {
+				i := int(atomic.AddInt64(&next, 1) - 1)
+				if i >= n {
 					return
 				}
-				slot := int(i) % len(mix)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				slot := i % len(mix)
 				t := mix[slot]
 				t0 := time.Now()
-				resp, err := cl.Map(context.Background(), client.MapRequest{
-					Workload: t.Workload, Bindings: t.Bindings, Net: t.Net,
-					NoCache: nocache, Check: check,
+				resp, err := cls[(i/len(mix))%len(cls)].Map(context.Background(), client.MapRequest{
+					Workload: t.Workload, Bindings: t.Bindings, Net: t.Net, Options: &opts,
 				})
 				lat := time.Since(t0)
 				mu.Lock()
@@ -242,6 +252,9 @@ func runPhase(cl *client.Client, mix []target, n, c int, nocache, check bool, wa
 				} else {
 					if resp.Cache == "hit" {
 						st.CacheHit++
+						if resp.Proxied {
+							st.CrossHit++
+						}
 					}
 					if st.FPs[slot] == "" {
 						st.FPs[slot] = resp.Fingerprint
@@ -257,6 +270,36 @@ func runPhase(cl *client.Client, mix []target, n, c int, nocache, check bool, wa
 	wg.Wait()
 	st.Elapsed = time.Since(start)
 	return st
+}
+
+// killWindow runs drive in the background for window, calling kill
+// killAfter into it. kill SIGKILLs the victim and may restart it; when
+// it fails the window ends early. The load stats cover the whole window.
+func killWindow(cls []*client.Client, mix []target, c int, opts client.MapOptions, want []string, killAfter, window time.Duration, kill func() error) (*phaseStats, error) {
+	start := time.Now()
+	stop := make(chan struct{})
+	var st *phaseStats
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		st = drive(cls, mix, math.MaxInt, c, opts, want, stop)
+	}()
+	time.Sleep(killAfter)
+	err := kill()
+	if remain := window - time.Since(start); err == nil && remain > 0 {
+		time.Sleep(remain)
+	}
+	close(stop)
+	wg.Wait()
+	return st, err
+}
+
+// writeDoc encodes doc as indented JSON, the layout benchjson writes.
+func writeDoc(out io.Writer, doc Document) error {
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }
 
 // server is a spawned `oregami serve` process.
@@ -345,7 +388,7 @@ func newFlagSet() *flags {
 	f.mix = f.fs.String("mix", "nbody:n=511@hypercube:5,jacobi:n=32@mesh:8,4,broadcast8@hypercube:3", "comma-separated workload[:k=v...]@net entries to request round-robin")
 	f.n = f.fs.Int("n", 200, "requests per phase")
 	f.c = f.fs.Int("c", 8, "concurrent closed-loop workers")
-	f.check = f.fs.Bool("check", false, "request oracle verification (?check=1) on every map")
+	f.check = f.fs.Bool("check", false, "request oracle verification (options.check) on every map")
 	f.chaos = f.fs.Bool("chaos", false, "run the kill-driven crash-safety harness (requires -launch)")
 	f.cluster = f.fs.Int("cluster", 0, "run N serve nodes as a consistent-hash cluster and kill one mid-run (requires -launch; -kill-after and -window shape the kill window)")
 	f.stateDir = f.fs.String("state-dir", "", "persistent state directory for -chaos (default: a temp dir, removed on success)")
@@ -357,12 +400,10 @@ func newFlagSet() *flags {
 // newRetryClient builds the client used around the kill window: patient
 // enough to ride out a SIGKILL plus restart plus WAL recovery.
 func newRetryClient(addr string) *client.Client {
-	return client.New(addr, client.Options{
-		MaxAttempts:    10,
-		BaseBackoff:    50 * time.Millisecond,
-		MaxBackoff:     2 * time.Second,
-		AttemptTimeout: 15 * time.Second,
-	})
+	return client.New(addr,
+		client.WithRetries(10),
+		client.WithBackoff(50*time.Millisecond, 2*time.Second),
+		client.WithTimeout(15*time.Second))
 }
 
 // waitPersisted polls the stats endpoint until the write-behind
@@ -385,56 +426,21 @@ func waitPersisted(cl *client.Client, n int64, budget time.Duration) error {
 // `killAfter`, restarts it on the same address and state directory, and
 // reports the load stats plus the restart-to-ready recovery time.
 func chaosWindow(srv *server, bin, stateDir string, mix []target, c int, killAfter, window time.Duration) (*phaseStats, time.Duration, error) {
-	st := &phaseStats{FPs: make([]string, len(mix))}
-	rcl := newRetryClient(srv.addr)
-	stop := make(chan struct{})
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < c; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; ; i += c {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				t := mix[i%len(mix)]
-				t0 := time.Now()
-				_, err := rcl.Map(context.Background(), client.MapRequest{
-					Workload: t.Workload, Bindings: t.Bindings, Net: t.Net, NoCache: true,
-				})
-				lat := time.Since(t0)
-				mu.Lock()
-				st.N++
-				st.Lat = append(st.Lat, lat)
-				if err != nil {
-					st.Errors++
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-
-	time.Sleep(killAfter)
-	fmt.Fprintf(os.Stderr, "loadgen: SIGKILL after %s of nocache load\n", killAfter.Round(time.Millisecond))
-	srv.kill()
-	restartStart := time.Now()
-	srv2, err := launchServer(bin, srv.addr, c, stateDir)
 	var recovery time.Duration
-	if err == nil {
+	cls := []*client.Client{newRetryClient(srv.addr)}
+	st, err := killWindow(cls, mix, c, client.MapOptions{NoCache: true}, nil, killAfter, window, func() error {
+		fmt.Fprintf(os.Stderr, "loadgen: SIGKILL after %s of nocache load\n", killAfter.Round(time.Millisecond))
+		srv.kill()
+		restartStart := time.Now()
+		srv2, err := launchServer(bin, srv.addr, c, stateDir)
+		if err != nil {
+			return err
+		}
 		*srv = *srv2
 		err = newRetryClient(srv.addr).WaitReady(context.Background(), 30*time.Second)
 		recovery = time.Since(restartStart)
-	}
-	if remain := window - time.Since(start); err == nil && remain > 0 {
-		time.Sleep(remain)
-	}
-	close(stop)
-	wg.Wait()
-	st.Elapsed = time.Since(start)
+		return err
+	})
 	if err != nil {
 		return st, recovery, fmt.Errorf("restart after SIGKILL: %w", err)
 	}
@@ -471,7 +477,8 @@ func runChaos(fs *flags, mix []target, out io.Writer) error {
 
 	// Populate: every mix slot computed once (and persisted), recording
 	// the reference fingerprint per slot.
-	populate := runPhase(cl, mix, len(mix), 1, false, false, nil)
+	cls := []*client.Client{cl}
+	populate := drive(cls, mix, len(mix), 1, client.MapOptions{}, nil, nil)
 	if populate.Errors > 0 {
 		return fmt.Errorf("%d populate requests failed", populate.Errors)
 	}
@@ -479,7 +486,7 @@ func runChaos(fs *flags, mix []target, out io.Writer) error {
 		return err
 	}
 	// Pre-kill warm phase: the baseline hit ratio and fingerprints.
-	pre := runPhase(cl, mix, n, c, false, false, populate.FPs)
+	pre := drive(cls, mix, n, c, client.MapOptions{}, populate.FPs, nil)
 
 	// The kill/restart window under nocache (write-heavy) load.
 	win, recovery, chaosErr := chaosWindow(srv, *fs.launch, stateDir, mix, c, *fs.killAfter, *fs.window)
@@ -491,7 +498,7 @@ func runChaos(fs *flags, mix []target, out io.Writer) error {
 	var st *client.Stats
 	if chaosErr == nil {
 		rcl := newRetryClient(srv.addr)
-		post = runPhase(rcl, mix, n, c, false, false, populate.FPs)
+		post = drive([]*client.Client{rcl}, mix, n, c, client.MapOptions{}, populate.FPs, nil)
 		st, err = rcl.Stats(context.Background())
 		if err != nil {
 			chaosErr = fmt.Errorf("stats after restart: %w", err)
@@ -530,9 +537,7 @@ func runChaos(fs *flags, mix []target, out io.Writer) error {
 		},
 		Results: results,
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := writeDoc(out, doc); err != nil {
 		return err
 	}
 	if chaosErr != nil {
@@ -585,131 +590,6 @@ func reserveAddrs(n int) ([]string, error) {
 		ln.Close()
 	}
 	return addrs, nil
-}
-
-// runClusterPhase is runPhase generalized over a set of nodes: request i
-// goes to mix slot i%len(mix) on node (i/len(mix))%len(cls), so the
-// receiving node rotates once per full pass over the mix and every slot
-// is eventually asked on every node. Non-owners must proxy — proxied
-// cache hits are counted as CrossHit.
-func runClusterPhase(cls []*client.Client, mix []target, n, c int, want []string) *phaseStats {
-	st := &phaseStats{Lat: make([]time.Duration, 0, n), FPs: make([]string, len(mix))}
-	var next int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := atomic.AddInt64(&next, 1) - 1
-				if i >= int64(n) {
-					return
-				}
-				slot := int(i) % len(mix)
-				cl := cls[(int(i)/len(mix))%len(cls)]
-				t := mix[slot]
-				t0 := time.Now()
-				resp, err := cl.Map(context.Background(), client.MapRequest{
-					Workload: t.Workload, Bindings: t.Bindings, Net: t.Net,
-				})
-				lat := time.Since(t0)
-				mu.Lock()
-				st.N++
-				st.Lat = append(st.Lat, lat)
-				if err != nil {
-					st.Errors++
-				} else {
-					if resp.Cache == "hit" {
-						st.CacheHit++
-						if resp.Proxied {
-							st.CrossHit++
-						}
-					}
-					if st.FPs[slot] == "" {
-						st.FPs[slot] = resp.Fingerprint
-					}
-					if want != nil && want[slot] != "" && resp.Fingerprint != want[slot] {
-						st.Mismatch++
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	st.Elapsed = time.Since(start)
-	return st
-}
-
-// clusterKillWindow drives warm load over the surviving nodes for
-// `window`, SIGKILLing the victim at `killAfter`. Keys the victim owned
-// degrade to local computation on whichever survivor was asked (proxy
-// fallback), so the contract under a node kill is zero errors and zero
-// fingerprint drift — warm capacity is allowed to dip, availability and
-// correctness are not.
-func clusterKillWindow(servers []*server, cls []*client.Client, victim int, mix []target, c int, killAfter, window time.Duration, want []string) *phaseStats {
-	st := &phaseStats{FPs: make([]string, len(mix))}
-	survivors := make([]*client.Client, 0, len(cls)-1)
-	for i, cl := range cls {
-		if i != victim {
-			survivors = append(survivors, cl)
-		}
-	}
-	stop := make(chan struct{})
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < c; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; ; i += c {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				slot := i % len(mix)
-				t := mix[slot]
-				cl := survivors[(i/len(mix))%len(survivors)]
-				t0 := time.Now()
-				resp, err := cl.Map(context.Background(), client.MapRequest{
-					Workload: t.Workload, Bindings: t.Bindings, Net: t.Net,
-				})
-				lat := time.Since(t0)
-				mu.Lock()
-				st.N++
-				st.Lat = append(st.Lat, lat)
-				if err != nil {
-					st.Errors++
-				} else {
-					if resp.Cache == "hit" {
-						st.CacheHit++
-						if resp.Proxied {
-							st.CrossHit++
-						}
-					}
-					if want[slot] != "" && resp.Fingerprint != want[slot] {
-						st.Mismatch++
-					}
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	time.Sleep(killAfter)
-	fmt.Fprintf(os.Stderr, "loadgen: SIGKILL node %d after %s of cluster load\n",
-		victim+1, killAfter.Round(time.Millisecond))
-	servers[victim].kill()
-	if remain := window - time.Since(start); remain > 0 {
-		time.Sleep(remain)
-	}
-	close(stop)
-	wg.Wait()
-	st.Elapsed = time.Since(start)
-	return st
 }
 
 // runCluster is the -cluster entry point: N serve nodes sharing a static
@@ -769,18 +649,27 @@ func runCluster(fs *flags, mix []target, out io.Writer) error {
 	// Populate through node 1 only: its own keys compute locally, the
 	// rest proxy to their owners, so afterwards every owner holds its
 	// slice of the mix and nothing else is cached anywhere.
-	populate := runClusterPhase(cls[:1], mix, len(mix), 1, nil)
+	populate := drive(cls[:1], mix, len(mix), 1, client.MapOptions{}, nil, nil)
 	if populate.Errors > 0 {
 		return fmt.Errorf("%d populate requests failed", populate.Errors)
 	}
 
 	// Warm: every slot asked on every node; non-owners proxy to the
 	// owner's cache.
-	warm := runClusterPhase(cls, mix, n, c, populate.FPs)
+	warm := drive(cls, mix, n, c, client.MapOptions{}, populate.FPs, nil)
 
-	// Kill window: the last node dies, the survivors absorb its keys.
+	// Kill window: warm load over the survivors while the last node
+	// dies. Keys the victim owned degrade to local computation on
+	// whichever survivor was asked (proxy fallback), so the contract
+	// under a node kill is zero errors and zero fingerprint drift — warm
+	// capacity may dip, availability and correctness may not.
 	victim := nodes - 1
-	kill := clusterKillWindow(servers, cls, victim, mix, c, *fs.killAfter, *fs.window, populate.FPs)
+	kill, _ := killWindow(cls[:victim], mix, c, client.MapOptions{}, populate.FPs, *fs.killAfter, *fs.window, func() error {
+		fmt.Fprintf(os.Stderr, "loadgen: SIGKILL node %d after %s of cluster load\n",
+			victim+1, fs.killAfter.Round(time.Millisecond))
+		servers[victim].kill()
+		return nil
+	})
 	alive[victim] = false
 
 	// The survivors' proxy counters, aggregated for the document.
@@ -822,9 +711,7 @@ func runCluster(fs *flags, mix []target, out io.Writer) error {
 		},
 		Results: []Result{warmRes, killRes},
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := writeDoc(out, doc); err != nil {
 		return err
 	}
 
@@ -889,14 +776,15 @@ func run(args []string, out io.Writer) error {
 	}
 	// Measured phases use a non-retrying client so every failure is an
 	// error in the numbers, not a silently-retried blip.
-	cl := client.New(addr, client.Options{MaxAttempts: 1})
+	cl := client.New(addr, client.WithRetries(1))
+	cls := []*client.Client{cl}
 
 	// Cold: bypass the cache so every request pays full compute.
-	cold := runPhase(cl, mix, *fs.n, *fs.c, true, *fs.check, nil)
+	cold := drive(cls, mix, *fs.n, *fs.c, client.MapOptions{NoCache: true, Check: *fs.check}, nil, nil)
 	// Prime: one cached entry per mix element.
-	prime := runPhase(cl, mix, len(mix), 1, false, *fs.check, nil)
+	prime := drive(cls, mix, len(mix), 1, client.MapOptions{Check: *fs.check}, nil, nil)
 	// Warm: every request should now hit.
-	warm := runPhase(cl, mix, *fs.n, *fs.c, false, *fs.check, nil)
+	warm := drive(cls, mix, *fs.n, *fs.c, client.MapOptions{Check: *fs.check}, nil, nil)
 
 	coldRes := cold.result("ServeMapCold", *fs.c)
 	warmRes := warm.result("ServeMapWarm", *fs.c)
@@ -917,9 +805,7 @@ func run(args []string, out io.Writer) error {
 		},
 		Results: []Result{coldRes, warmRes},
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := writeDoc(out, doc); err != nil {
 		return err
 	}
 	if cold.Errors > 0 || warm.Errors > 0 || prime.Errors > 0 {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"oregami/client"
 	"oregami/internal/serve"
 )
 
@@ -230,5 +232,37 @@ func TestPhaseStatsResult(t *testing.T) {
 	}
 	if r.Extra["p50-ns"] != float64(20*time.Millisecond) {
 		t.Errorf("p50 = %v", time.Duration(r.Extra["p50-ns"]))
+	}
+}
+
+// TestDriveRotatesClientsAndStops pins the shared request loop: the
+// receiving client rotates once per pass over the mix, want mismatches
+// are counted per slot, and a closed stop channel ends an unbounded run.
+func TestDriveRotatesClientsAndStops(t *testing.T) {
+	servers := make([]*serve.Server, 2)
+	cls := make([]*client.Client, 2)
+	for i := range servers {
+		servers[i] = serve.New(serve.Config{})
+		ts := httptest.NewServer(servers[i].Handler())
+		defer ts.Close()
+		cls[i] = client.New(ts.URL, client.WithRetries(1))
+	}
+	mix := []target{{Workload: "broadcast8", Net: "hypercube:3"}, {Workload: "nbody", Net: "hypercube:3"}}
+	st := drive(cls, mix, 8, 2, client.MapOptions{}, []string{"bogus", ""}, nil)
+	if st.N != 8 || st.Errors != 0 {
+		t.Fatalf("N=%d errors=%d, want 8 clean requests", st.N, st.Errors)
+	}
+	for i, s := range servers {
+		if got := s.Stats().Requests.Load(); got != 4 {
+			t.Errorf("client %d received %d requests, want 4", i, got)
+		}
+	}
+	if st.Mismatch != 4 || st.FPs[0] == "" || st.FPs[1] == "" {
+		t.Errorf("mismatch=%d FPs=%q, want 4 mismatches on slot 0 and both slots fingerprinted", st.Mismatch, st.FPs)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	if st := drive(cls, mix, math.MaxInt, 2, client.MapOptions{}, nil, stop); st.N != 0 {
+		t.Errorf("closed stop still sent %d requests", st.N)
 	}
 }
