@@ -94,6 +94,55 @@ func TestAllocBudgetRoute(t *testing.T) {
 	})
 }
 
+// TestAllocBudgetDistance holds Distance to zero allocations: it sits
+// on NN-Embed's and MM-Route's innermost loops, so one allocation per
+// call multiplies into millions per request. Every analytic family is
+// covered, hier included, plus a warmed degraded view (table lookups).
+func TestAllocBudgetDistance(t *testing.T) {
+	degraded, err := topology.Hierarchy(2, 3, 4).Masked([]int{5}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded.WarmDistances()
+	for _, net := range []*topology.Network{
+		topology.Mesh(4, 5), topology.Torus(4, 5), topology.Hypercube(5),
+		topology.Complete(9), topology.Star(9), topology.Ring(11),
+		topology.Linear(11), topology.Hierarchy(4, 4, 4, 8),
+		topology.Hierarchy(3, 5, 3), degraded,
+	} {
+		gate(t, net.Name+" Distance", 0, func() {
+			sum := 0
+			for a := 0; a < net.N; a += 3 {
+				for b := 0; b < net.N; b += 7 {
+					sum += net.Distance(a, b)
+				}
+			}
+			if sum == 0 {
+				t.Fatal("all distances zero")
+			}
+		})
+	}
+}
+
+// TestAllocBudgetRouteHier gates MM-Route on the 512-PE hierarchy the
+// multilevel benchmark maps onto; the hypercube(4) gate above cannot
+// see an allocation in the hierarchy distance. A warm run makes 2
+// allocations (the route slice and the backing all routes share); a
+// per-Distance allocation would make millions.
+func TestAllocBudgetRouteHier(t *testing.T) {
+	net := topology.Hierarchy(4, 4, 4, 8)
+	r := gen.Rand(13)
+	pairs := make([][2]int, 1024)
+	for i := range pairs {
+		pairs[i] = [2]int{r.Intn(net.N), r.Intn(net.N)}
+	}
+	gate(t, "MMRoute hier(4x4x4x8)", 4, func() {
+		if _, _, err := route.MMRoute(net, pairs, route.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestAllocBudgetMetrics(t *testing.T) {
 	c, net := allocWorkload(t)
 	res, err := core.Map(core.Request{Compiled: c, Net: net, Parallelism: 1})

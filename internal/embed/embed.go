@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"oregami/internal/graph"
 	"oregami/internal/topology"
@@ -36,39 +35,19 @@ func NNEmbedCtx(ctx context.Context, cg *graph.TaskGraph, net *topology.Network)
 	if k == 0 {
 		return nil, fmt.Errorf("embed: empty cluster graph")
 	}
-	w := make([][]float64, k)
-	for i := range w {
-		w[i] = make([]float64, k)
-	}
-	type cedge struct {
-		a, b int
-		w    float64
-	}
-	// Walk the flat collapsed graph's upper triangle; the CSR carries the
-	// per-pair weights in the historical chain order.
+	// The heaviest collapsed pair seeds the placement: the first in
+	// (weight desc, a asc, b asc) order. The CSR rows are ascending, so a
+	// strict > over the upper triangle keeps the lowest (a, b) on ties.
 	csr := cg.CSR()
-	edges := make([]cedge, 0, csr.NumPairs())
+	seedA, seedB, seedW := -1, -1, 0.0
 	for a := 0; a < k; a++ {
-		nbrs := csr.Neighbors(a)
 		ws := csr.RowWeights(a)
-		for i, b := range nbrs {
-			if int(b) < a {
-				continue
+		for i, b := range csr.Neighbors(a) {
+			if int(b) > a && (seedA == -1 || ws[i] > seedW) {
+				seedA, seedB, seedW = a, int(b), ws[i]
 			}
-			w[a][b] = ws[i]
-			w[b][a] = ws[i]
-			edges = append(edges, cedge{a, int(b), ws[i]})
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].w != edges[j].w {
-			return edges[i].w > edges[j].w
-		}
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
-		}
-		return edges[i].b < edges[j].b
-	})
 
 	place := make([]int, k)
 	for i := range place {
@@ -94,8 +73,8 @@ func NNEmbedCtx(ctx context.Context, cg *graph.TaskGraph, net *topology.Network)
 			seedProc = p
 		}
 	}
-	if len(edges) > 0 && k > 1 {
-		occupy(edges[0].a, seedProc)
+	if seedA != -1 && k > 1 {
+		occupy(seedA, seedProc)
 		second := -1
 		for _, u := range net.Neighbors(seedProc) {
 			if freeProc[u] {
@@ -111,7 +90,7 @@ func NNEmbedCtx(ctx context.Context, cg *graph.TaskGraph, net *topology.Network)
 				}
 			}
 		}
-		occupy(edges[0].b, second)
+		occupy(seedB, second)
 	} else {
 		occupy(0, seedProc)
 	}
@@ -121,16 +100,20 @@ func NNEmbedCtx(ctx context.Context, cg *graph.TaskGraph, net *topology.Network)
 			return nil, err
 		}
 		// Unplaced cluster with max traffic to placed clusters; fall
-		// back to the lowest-id unplaced cluster for isolated nodes.
+		// back to the lowest-id unplaced cluster for isolated nodes. Both
+		// scans walk a cluster's CSR row, whose ascending order makes
+		// every float sum add its terms in cluster-id order: with
+		// fractional weights another order can change a placement.
 		best, bestW := -1, -1.0
 		for c := 0; c < k; c++ {
 			if place[c] != -1 {
 				continue
 			}
 			t := 0.0
-			for d := 0; d < k; d++ {
+			ws := csr.RowWeights(c)
+			for i, d := range csr.Neighbors(c) {
 				if place[d] != -1 {
-					t += w[c][d]
+					t += ws[i]
 				}
 			}
 			if t > bestW {
@@ -138,21 +121,22 @@ func NNEmbedCtx(ctx context.Context, cg *graph.TaskGraph, net *topology.Network)
 			}
 		}
 		// Free processor minimizing weighted distance to partners.
+		nbrs, ws := csr.Neighbors(best), csr.RowWeights(best)
 		bestProc, bestCost := -1, 0.0
 		for p := 0; p < net.N; p++ {
 			if !freeProc[p] {
 				continue
 			}
 			cost := 0.0
-			for d := 0; d < k; d++ {
-				if place[d] != -1 && w[best][d] > 0 {
+			for i, d := range nbrs {
+				if place[d] != -1 && ws[i] > 0 {
 					hops := net.Distance(p, place[d])
 					if hops < 0 {
 						// Disconnected on a degraded network: worse than
 						// any reachable placement.
 						hops = net.N
 					}
-					cost += w[best][d] * float64(hops)
+					cost += ws[i] * float64(hops)
 				}
 			}
 			if bestProc == -1 || cost < bestCost {

@@ -110,10 +110,14 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 	}
 	// Round-scoped buffers, borrowed once and re-sliced every round. A
 	// candidate segment never exceeds the degree of the edge's current
-	// position, so candBuf's capacity covers the worst round and append
-	// never grows it.
+	// position. candBuf starts at two candidates per pair and is
+	// re-borrowed larger before a segment could overflow it, so append
+	// never grows it and its size follows the shortest-path fan-out the
+	// phase meets, not len(pairs) x maxDeg: on a hierarchy shortest
+	// paths are mostly unique while a representative PE has a link to
+	// every sibling at every level (16 on hier:4,4,4,8).
 	remaining := scr.IntsCap(len(pairs))
-	candBuf := scr.IntsCap(len(pairs) * maxDeg)
+	candBuf := scr.IntsCap(2 * len(pairs))
 	candOff := scr.Ints(len(pairs) + 1)
 	order := scr.Ints(len(pairs))
 	counts := scr.Ints(maxDeg + 2)
@@ -151,6 +155,9 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 				if base := net.Distance(pos[ei], dst); base >= 0 {
 					nbrs := net.Neighbors(pos[ei])
 					lids := net.NeighborLinks(pos[ei])
+					if len(candBuf)+len(nbrs) > cap(candBuf) {
+						candBuf = append(scr.IntsCap(2*cap(candBuf)+len(nbrs)), candBuf...)
+					}
 					for hi, h := range nbrs {
 						if net.Distance(h, dst) != base-1 {
 							continue

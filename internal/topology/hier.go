@@ -15,6 +15,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -62,7 +63,59 @@ func Hierarchy(fanouts ...int) *Network {
 			}
 		}
 	}
+	nw.hier = newHierTables(fanouts, sizes, n)
 	return nw.finish()
+}
+
+// hierTables answer the per-pair hierarchy queries without division.
+// PE x has one mixed-radix child digit per depth d = 1..k (k levels):
+// digit d = (x/sizes[d]) % fanouts[d-1], its position among the children
+// of its depth-(d-1) group. code[x] packs those digits top level first,
+// each in a field ceil(log2 fanout) bits wide — at most 20+8 = 28 bits
+// at the 2^20-PE, 8-level cap — so the highest set bit of
+// code[a]^code[b] lies in the field of the first depth at which a and b
+// differ, and depth maps that bit length back to the depth. nz[x] has
+// bit d set when digit d of x is non-zero, i.e. when x is not its
+// depth-d group's representative. All three are immutable after
+// construction and shared by degraded views.
+type hierTables struct {
+	code  []uint32
+	nz    []uint16
+	depth [33]uint8
+}
+
+func newHierTables(fanouts, sizes []int, n int) *hierTables {
+	k := len(fanouts)
+	t := &hierTables{code: make([]uint32, n), nz: make([]uint16, n)}
+	// shift[d] is the low bit of digit d's field; the deepest digit sits
+	// at bit 0.
+	shift := make([]uint, k+1)
+	for d := k; d >= 1; d-- {
+		width := uint(bits.Len(uint(fanouts[d-1] - 1)))
+		if d > 1 {
+			shift[d-1] = shift[d] + width
+		}
+		for b := shift[d]; b < shift[d]+width; b++ {
+			t.depth[b+1] = uint8(d)
+		}
+	}
+	for x := 0; x < n; x++ {
+		for d := 1; d <= k; d++ {
+			digit := (x / sizes[d]) % fanouts[d-1]
+			t.code[x] |= uint32(digit) << shift[d]
+			if digit != 0 {
+				t.nz[x] |= 1 << d
+			}
+		}
+	}
+	return t
+}
+
+// firstDiff returns the first depth (1..k) at which the child digits of
+// distinct PEs a and b differ: they share their depth-(firstDiff-1)
+// group but not their depth-firstDiff one.
+func (t *hierTables) firstDiff(a, b int) int {
+	return int(t.depth[bits.Len32(t.code[a]^t.code[b])])
 }
 
 // hierSizes returns subtree sizes per depth: sizes[d] is the number of
@@ -98,46 +151,22 @@ func (nw *Network) HierCrossLevel(a, b int) int {
 	if a == b {
 		return 0
 	}
-	sizes := hierSizes(nw.Dims)
-	// Deepest common subtree: the largest d with equal depth-d groups.
-	for d := len(nw.Dims); d >= 1; d-- {
-		if a/sizes[d-1] == b/sizes[d-1] {
-			return len(nw.Dims) - d + 1
-		}
-	}
-	return len(nw.Dims)
+	return len(nw.Dims) - nw.hier.firstDiff(a, b) + 1
 }
 
 // hierDistance answers Distance analytically for the pristine
 // hierarchical machine: climb each endpoint's representative chain up
-// to the children of the deepest common subtree (one hop per level at
-// which the endpoint is not already the representative), plus the one
-// sibling link between those two representatives. The hier differential
-// test checks this formula against plain BFS over the link graph.
+// to the children of the deepest common subtree (one hop per level
+// below the first differing depth at which the endpoint is not already
+// its group's representative), plus the one sibling link between those
+// two representatives. With the per-PE tables that is two popcounts;
+// the hier differential tests check it against plain BFS over the link
+// graph and against the division-based formula.
 func (nw *Network) hierDistance(a, b int) int {
 	if a == b {
 		return 0
 	}
-	sizes := hierSizes(nw.Dims)
-	// dc = deepest depth whose groups still contain both endpoints.
-	dc := 0
-	for d := 1; d < len(sizes); d++ {
-		if a/sizes[d] != b/sizes[d] {
-			break
-		}
-		dc = d
-	}
-	// climb counts representative changes along the chain
-	// x = r_k -> r_{k-1} -> ... -> r_{dc+1}: one hop for each depth
-	// step at which x is not already its group's representative.
-	climb := func(x int) int {
-		hops := 0
-		for d := len(sizes) - 1; d > dc+1; d-- {
-			if x%sizes[d-1] != x%sizes[d] {
-				hops++
-			}
-		}
-		return hops
-	}
-	return climb(a) + climb(b) + 1
+	t := nw.hier
+	below := ^uint16(0) << (t.firstDiff(a, b) + 1)
+	return 1 + bits.OnesCount16(t.nz[a]&below) + bits.OnesCount16(t.nz[b]&below)
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -61,14 +62,21 @@ func TestHierarchyPanics(t *testing.T) {
 	}
 }
 
+// hierBFSShapes are small enough for an all-pairs BFS referee: the
+// benchmark's 512-PE shape plus deep and odd-fanout ones whose digit
+// fields do not fill their bit widths.
+var hierBFSShapes = [][]int{
+	{2, 2}, {3, 2}, {2, 3}, {4, 4},
+	{2, 2, 2}, {2, 3, 4}, {4, 3, 2}, {3, 3, 3},
+	{2, 2, 2, 2}, {2, 2, 3, 2},
+	{4, 4, 4, 8}, {3, 5, 3}, {2, 2, 2, 2, 2, 2, 2, 2}, {5, 2, 7},
+}
+
 // TestHierDistanceVsBFS referees the analytic hier distance against plain
-// BFS over the constructed link graph, over a spread of shapes.
+// BFS over the constructed link graph, over a spread of shapes, and both
+// table-driven queries against the division-based formulas.
 func TestHierDistanceVsBFS(t *testing.T) {
-	for _, fanouts := range [][]int{
-		{2, 2}, {3, 2}, {2, 3}, {4, 4},
-		{2, 2, 2}, {2, 3, 4}, {4, 3, 2}, {3, 3, 3},
-		{2, 2, 2, 2}, {2, 2, 3, 2},
-	} {
+	for _, fanouts := range hierBFSShapes {
 		nw := Hierarchy(fanouts...)
 		ref := newNetwork("refhier", nw.Name, nw.N, fanouts...)
 		for _, l := range nw.Links() {
@@ -80,7 +88,97 @@ func TestHierDistanceVsBFS(t *testing.T) {
 				if got, want := nw.Distance(a, b), ref.Distance(a, b); got != want {
 					t.Fatalf("hier%v Distance(%d,%d) = %d, BFS says %d", fanouts, a, b, got, want)
 				}
+				if got, want := nw.Distance(a, b), refHierDistance(fanouts, a, b); got != want {
+					t.Fatalf("hier%v Distance(%d,%d) = %d, division referee says %d", fanouts, a, b, got, want)
+				}
+				if got, want := nw.HierCrossLevel(a, b), refHierCrossLevel(fanouts, a, b); got != want {
+					t.Fatalf("hier%v HierCrossLevel(%d,%d) = %d, division referee says %d", fanouts, a, b, got, want)
+				}
 			}
+		}
+	}
+}
+
+// refHierDistance and refHierCrossLevel are the division-based formulas
+// the per-PE digit tables replaced, kept as referees: dc is the deepest
+// depth whose groups still contain both endpoints, and climb(x) counts
+// the depth steps below dc+1 at which x is not its group's
+// representative.
+func refHierDistance(fanouts []int, a, b int) int {
+	if a == b {
+		return 0
+	}
+	sizes := hierSizes(fanouts)
+	dc := 0
+	for d := 1; d < len(sizes); d++ {
+		if a/sizes[d] != b/sizes[d] {
+			break
+		}
+		dc = d
+	}
+	climb := func(x int) int {
+		hops := 0
+		for d := len(sizes) - 1; d > dc+1; d-- {
+			if x%sizes[d-1] != x%sizes[d] {
+				hops++
+			}
+		}
+		return hops
+	}
+	return climb(a) + climb(b) + 1
+}
+
+func refHierCrossLevel(fanouts []int, a, b int) int {
+	if a == b {
+		return 0
+	}
+	sizes := hierSizes(fanouts)
+	for d := len(fanouts); d >= 1; d-- {
+		if a/sizes[d-1] == b/sizes[d-1] {
+			return len(fanouts) - d + 1
+		}
+	}
+	return len(fanouts)
+}
+
+// TestHierTablesAtLimits checks the digit tables against the division
+// referees on seeded sampled pairs at the size and depth caps, where
+// the packed code is widest. Building those machines' link graphs is
+// out of reach (a 2^19-PE complete leaf group), so the test attaches
+// the tables to a bare network of the right shape.
+func TestHierTablesAtLimits(t *testing.T) {
+	for _, fanouts := range [][]int{
+		{2, 1 << 19},
+		{1 << 10, 1 << 10},
+		{2, 2, 2, 2, 2, 2, 4, 4096},
+		{5, 5, 5, 5, 5, 5, 5, 13}, // 25 code bits, the odd-fanout worst case
+	} {
+		sizes := hierSizes(fanouts)
+		n := sizes[0]
+		if n > hierMaxProcs || len(fanouts) > hierMaxLevels {
+			t.Fatalf("hier%v exceeds the caps", fanouts)
+		}
+		nw := &Network{Kind: "hier", N: n, Dims: fanouts, hier: newHierTables(fanouts, sizes, n)}
+		r := rand.New(rand.NewSource(int64(n)))
+		for i := 0; i < 20000; i++ {
+			a := r.Intn(n)
+			// Draw b inside a's depth-d group for a random d, so every
+			// first-differing depth is exercised, not just depth 1.
+			size := sizes[r.Intn(len(sizes))]
+			b := a - a%size + r.Intn(size)
+			if i%2 == 1 {
+				a, b = b, a
+			}
+			if got, want := nw.hierDistance(a, b), refHierDistance(fanouts, a, b); got != want {
+				t.Fatalf("hier%v Distance(%d,%d) = %d, referee says %d", fanouts, a, b, got, want)
+			}
+			if got, want := nw.HierCrossLevel(a, b), refHierCrossLevel(fanouts, a, b); got != want {
+				t.Fatalf("hier%v HierCrossLevel(%d,%d) = %d, referee says %d", fanouts, a, b, got, want)
+			}
+		}
+		// The last PE has every digit at its maximum: the widest code.
+		if got, want := nw.hierDistance(0, n-1), refHierDistance(fanouts, 0, n-1); got != want {
+			t.Fatalf("hier%v Distance(0,%d) = %d, referee says %d", fanouts, n-1, got, want)
 		}
 	}
 }

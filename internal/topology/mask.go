@@ -22,6 +22,7 @@ func (nw *Network) Masked(failedProcs, failedLinks []int) (*Network, error) {
 		Name:     nw.Name,
 		N:        nw.N,
 		Dims:     nw.Dims,
+		hier:     nw.hier,
 		links:    nw.links,
 		linkID:   nw.linkID,
 		degraded: true,

@@ -38,6 +38,7 @@ type Network struct {
 	links   []Link
 	linkID  map[[2]int]int // construction-time dup detection only
 	dist    [][]int16      // lazily computed all-pairs hop distances
+	hier    *hierTables    // per-PE digit tables of a "hier" network
 
 	// Degraded views (see Masked): when degraded is set, deadProc and
 	// deadLink mark failed hardware, adj excludes dead links, and the
