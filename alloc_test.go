@@ -16,6 +16,7 @@ package oregami
 import (
 	"testing"
 
+	"oregami/internal/check"
 	"oregami/internal/contract"
 	"oregami/internal/core"
 	"oregami/internal/gen"
@@ -152,6 +153,27 @@ func TestAllocBudgetMetrics(t *testing.T) {
 	gate(t, "metrics.ComputeN", 20, func() {
 		if _, err := metrics.ComputeN(res.Mapping, 1); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestAllocBudgetFingerprint gates check.Fingerprint, which runs on
+// every served miss and every live cache hit, on a routed 8-phase
+// mapping. A warm run makes 2 allocations (the sorted phase names and
+// the one pre-sized output buffer); the fmt-based writer it replaced
+// allocated once per route.
+func TestAllocBudgetFingerprint(t *testing.T) {
+	c, net := allocWorkload(t)
+	res, err := core.Map(core.Request{Compiled: c, Net: net, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Mapping.Routes) < 2 {
+		t.Fatalf("mapping has %d routed phases, want a multi-phase mapping", len(res.Mapping.Routes))
+	}
+	gate(t, "check.Fingerprint", 4, func() {
+		if check.Fingerprint(res.Mapping) == "" {
+			t.Fatal("empty fingerprint")
 		}
 	})
 }

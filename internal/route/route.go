@@ -31,8 +31,12 @@ type Options struct {
 	// less-loaded shortest paths (an ablation; the pure hop-by-hop
 	// matching can strand load on hot links).
 	NoRefine bool
-	// Ctx carries cooperative cancellation into the O(|X|^2 |Y|)
-	// matching rounds (nil means no cancellation).
+	// Ctx carries cooperative cancellation into the matching rounds,
+	// checked once per round (nil means no cancellation). The Distance
+	// scans that find each edge's next-hop links run once per hop
+	// round; a matching round only filters, sorts and matches those
+	// links, in time about linear in their number (the per-edge sort is
+	// quadratic in a segment no longer than the edge's degree).
 	Ctx context.Context
 	// Parallelism bounds RouteAll's per-phase fan-out: communication
 	// phases route independently on up to this many goroutines
@@ -108,21 +112,33 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			maxDeg = d
 		}
 	}
-	// Round-scoped buffers, borrowed once and re-sliced every round. A
-	// candidate segment never exceeds the degree of the edge's current
-	// position. candBuf starts at two candidates per pair and is
-	// re-borrowed larger before a segment could overflow it, so append
-	// never grows it and its size follows the shortest-path fan-out the
-	// phase meets, not len(pairs) x maxDeg: on a hierarchy shortest
-	// paths are mostly unique while a representative PE has a link to
-	// every sibling at every level (16 on hier:4,4,4,8).
+	// Buffers borrowed once and re-sliced every hop round or matching
+	// round. An edge's position only changes when it is matched, and a
+	// matched edge leaves the round, so the links one hop closer to its
+	// destination are fixed for the whole hop round: they are computed
+	// once per hop round into hopBuf (edge ei owns
+	// hopBuf[hopOff[ei]:hopEnd[ei]]), and each matching round only
+	// filters them by the budget. hopBuf starts at two links per pair
+	// and is re-borrowed larger before a segment could overflow it, so
+	// append never grows it and its size follows the shortest-path
+	// fan-out the phase meets, not len(pairs) x maxDeg: on a hierarchy
+	// shortest paths are mostly unique while a representative PE has a
+	// link to every sibling at every level (16 on hier:4,4,4,8).
+	// Candidates are a subset of the next-hop links, so candBuf,
+	// re-borrowed whenever a hop round's hopBuf outgrows it, never
+	// overflows within the round.
 	remaining := scr.IntsCap(len(pairs))
-	candBuf := scr.IntsCap(2 * len(pairs))
+	hopBuf := scr.IntsCap(2 * len(pairs))
+	hopOff := scr.Ints(len(pairs))
+	hopEnd := scr.Ints(len(pairs))
+	var candBuf []int
 	candOff := scr.Ints(len(pairs) + 1)
 	order := scr.Ints(len(pairs))
 	counts := scr.Ints(maxDeg + 2)
 	matchX := scr.Ints(len(pairs))
-	matchY := scr.Ints(net.NumLinks())
+	// matchY stays all -1 between rounds: each greedy round undoes only
+	// the links it matched.
+	matchY := scr.IntsFill(net.NumLinks(), -1)
 
 	// budget is the per-link usage ceiling currently allowed; it only
 	// grows when some edge cannot progress under it, so link load is
@@ -131,7 +147,31 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 	budget := 1
 	for len(active) > 0 {
 		// One hop round: every active edge must obtain a link for its
-		// next hop via repeated matchings under the budget.
+		// next hop via repeated matchings under the budget. First fix
+		// each edge's next-hop links: those to neighbors one hop closer
+		// to dst, in ascending neighbor order (NextHops' order, without
+		// its per-call slice or a LinkBetween lookup per hop).
+		hopBuf = hopBuf[:0]
+		for _, ei := range active {
+			hopOff[ei] = len(hopBuf)
+			dst := pairs[ei][1]
+			if base := net.Distance(pos[ei], dst); base >= 0 {
+				nbrs := net.Neighbors(pos[ei])
+				lids := net.NeighborLinks(pos[ei])
+				if len(hopBuf)+len(nbrs) > cap(hopBuf) {
+					hopBuf = append(scr.IntsCap(2*cap(hopBuf)+len(nbrs)), hopBuf...)
+				}
+				for hi, h := range nbrs {
+					if net.Distance(h, dst) == base-1 {
+						hopBuf = append(hopBuf, lids[hi])
+					}
+				}
+			}
+			hopEnd[ei] = len(hopBuf)
+		}
+		if len(hopBuf) > cap(candBuf) {
+			candBuf = scr.IntsCap(len(hopBuf))
+		}
 		remaining = append(remaining[:0], active...)
 		for len(remaining) > 0 {
 			if err := ctx.Err(); err != nil {
@@ -139,32 +179,17 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			}
 			stats.Rounds++
 			nRem := len(remaining)
-			// X = remaining edges, Y = links; candidates are the links
-			// on shortest next hops with usage below the budget, tried
-			// coldest first. Most-constrained edges match first.
-			// Candidate lists live as segments of candBuf: edge xi owns
+			// X = remaining edges, Y = links; candidates are the
+			// next-hop links with usage below the budget, tried coldest
+			// first. Most-constrained edges match first. Candidate
+			// lists live as segments of candBuf: edge xi owns
 			// candBuf[candOff[xi]:candOff[xi+1]].
 			candBuf = candBuf[:0]
 			for xi, ei := range remaining {
 				candOff[xi] = len(candBuf)
-				dst := pairs[ei][1]
-				// Inline NextHops: neighbors one hop closer to dst, in
-				// ascending order, without the per-call hops slice. The
-				// adjacency-aligned link ids replace the LinkBetween
-				// lookup the old loop performed per hop.
-				if base := net.Distance(pos[ei], dst); base >= 0 {
-					nbrs := net.Neighbors(pos[ei])
-					lids := net.NeighborLinks(pos[ei])
-					if len(candBuf)+len(nbrs) > cap(candBuf) {
-						candBuf = append(scr.IntsCap(2*cap(candBuf)+len(nbrs)), candBuf...)
-					}
-					for hi, h := range nbrs {
-						if net.Distance(h, dst) != base-1 {
-							continue
-						}
-						if id := lids[hi]; linkUse[id] < budget {
-							candBuf = append(candBuf, id)
-						}
+				for _, id := range hopBuf[hopOff[ei]:hopEnd[ei]] {
+					if linkUse[id] < budget {
+						candBuf = append(candBuf, id)
 					}
 				}
 				// Insertion-sort the segment by (load, id) — a strict
@@ -226,9 +251,6 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 				for i := range mX {
 					mX[i] = -1
 				}
-				for i := range matchY {
-					matchY[i] = -1
-				}
 				for _, xi := range ord {
 					for _, id := range candBuf[candOff[xi]:candOff[xi+1]] {
 						if matchY[id] == -1 {
@@ -249,6 +271,7 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 					continue
 				}
 				progressed = true
+				matchY[link] = -1 // undo the greedy match (a no-op for Hopcroft-Karp)
 				routes[ei] = append(routes[ei], link)
 				linkUse[link]++
 				l := net.Link(link)

@@ -382,7 +382,7 @@ func (s *Server) compute(ctx context.Context, r *resolved) (*cacheEntry, error) 
 		Trail:       res.Trail,
 		Assignment:  assignment,
 		Metrics:     summary,
-		Fingerprint: check.FingerprintHash(m),
+		Fingerprint: hashHex(fp),
 		ComputeMS:   float64(time.Since(compileStart)) / float64(time.Millisecond),
 		Node:        s.nodeID(),
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
@@ -64,7 +65,7 @@ type cacheEntry struct {
 // derives from a live mapping, usable on a stored fingerprint string.
 func hashHex(s string) string {
 	sum := sha256.Sum256([]byte(s))
-	return fmt.Sprintf("%x", sum[:])
+	return hex.EncodeToString(sum[:])
 }
 
 // resultCache is a byte-budgeted LRU of completed mappings. Every hit is
