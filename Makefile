@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz lint lint-baseline check alloc bench bench-parallel bench-multilevel cover smoke-serve bench-serve chaos smoke-cluster
+.PHONY: build test vet race fuzz lint lint-baseline check alloc bench-multilevel cover smoke-serve chaos smoke-cluster
 
 build:
 	$(GO) build ./...
@@ -39,40 +39,16 @@ lint: vet
 lint-baseline:
 	$(GO) run ./tools/analyzers -write-baseline $(LINT_BASELINE) ./...
 
-# Allocation-budget gates (alloc_test.go): hot-path allocs/op ceilings
-# over the parallel-bench workload. A separate non-race pass — the gates
-# skip themselves under the race detector, whose instrumentation
-# allocates. See docs/TESTING.md.
+# Allocation-budget gates (alloc_test.go): allocs/op ceilings on the
+# hot paths and on the whole pipeline at 1, 2 and 4 workers. A separate
+# non-race pass — the gates skip themselves under the race detector,
+# whose instrumentation allocates. See docs/TESTING.md.
 alloc:
 	$(GO) test -count=1 -run='TestAllocBudget' .
 
 # The CI gate: static checks, the full suite under the race detector,
 # and the allocation budgets.
 check: lint race alloc
-
-# Run the root-package benchmarks and archive them as machine-readable
-# JSON (tools/benchjson). BENCHTIME=1x keeps the default pass quick;
-# override for stable numbers, e.g. `make bench BENCHTIME=1s`.
-BENCHTIME ?= 1x
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) . | tee BENCH_pipeline.txt
-	$(GO) run ./tools/benchjson BENCH_pipeline.txt > BENCH_pipeline.json
-	@echo "wrote BENCH_pipeline.json"
-
-# Sequential-vs-parallel pipeline benchmark (docs/PARALLEL.md): the
-# workers=N sub-benchmarks carry a "speedup" metric against workers=1.
-# Meaningful speedups need a multicore machine (CI) — at GOMAXPROCS=1
-# the speedup is honestly ~1x. PARBENCHTIME pins multiple iterations so
-# single-iteration timer noise cannot masquerade as a speedup, and the
-# run is gated against the committed BENCH_parallel.json: more than 10%
-# allocs/op growth on any sub-benchmark fails (tools/benchjson
-# -baseline). The fresh numbers land in BENCH_parallel.new.json; promote
-# them over the baseline deliberately, not by running the target.
-PARBENCHTIME ?= 5x
-bench-parallel:
-	$(GO) test -run='^$$' -bench=BenchmarkParallelPipeline -benchmem -benchtime=$(PARBENCHTIME) -count=1 . | tee BENCH_parallel.txt
-	$(GO) run ./tools/benchjson -baseline BENCH_parallel.json BENCH_parallel.txt > BENCH_parallel.new.json
-	@echo "wrote BENCH_parallel.new.json (baseline BENCH_parallel.json unchanged)"
 
 # Multilevel scale benchmark (docs/MULTILEVEL.md): coarsen/map/uncoarsen
 # and the recursive-bisection baseline at 1e5 and 1e6 tasks onto the
@@ -97,18 +73,6 @@ bench-multilevel:
 # port, cold-then-warm /v1/map (miss then hit), graceful SIGTERM drain.
 smoke-serve:
 	sh tools/serve_smoke.sh
-
-# Benchmark the daemon with the closed-loop load generator: spawns its
-# own server, runs a cold (cache-bypass) and warm (cache-hit) phase, and
-# writes latency percentiles + throughput + hit ratio as benchjson-shaped
-# JSON. The binary lands in a BENCH_*.tmp path so git ignores it.
-SERVE_N ?= 200
-SERVE_C ?= 8
-bench-serve:
-	$(GO) build -o BENCH_oregami.tmp ./cmd/oregami
-	$(GO) run ./tools/loadgen -launch ./BENCH_oregami.tmp -n $(SERVE_N) -c $(SERVE_C) -out BENCH_serve.json
-	@rm -f BENCH_oregami.tmp
-	@echo "wrote BENCH_serve.json"
 
 # Kill-driven crash-safety harness (docs/PERSIST.md): launch the daemon
 # with a persistent state dir, populate + persist the cache, SIGKILL it

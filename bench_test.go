@@ -7,45 +7,24 @@ package oregami
 
 import (
 	"fmt"
-	"testing"
-
 	"runtime"
+	"testing"
 
 	"oregami/internal/aggregate"
 	"oregami/internal/canned"
 	"oregami/internal/contract"
 	"oregami/internal/core"
 	"oregami/internal/embed"
-	"oregami/internal/gen"
 	"oregami/internal/graph"
 	"oregami/internal/group"
 	"oregami/internal/larcs"
-	"oregami/internal/matching"
 	"oregami/internal/perm"
 	"oregami/internal/route"
 	"oregami/internal/sched"
-	"oregami/internal/sim"
 	"oregami/internal/spawn"
 	"oregami/internal/topology"
 	"oregami/internal/workload"
 )
-
-// --- F1: full pipeline --------------------------------------------------
-
-func BenchmarkPipelineNBody(b *testing.B) {
-	w, _ := workload.ByName("nbody")
-	c, err := w.Compile(map[string]int{"n": 15, "s": 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	net := topology.Hypercube(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Map(core.Request{Compiled: c, Net: net}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- F2: LaRCS compilation ----------------------------------------------
 
@@ -59,45 +38,6 @@ func BenchmarkLaRCSCompileNBody(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := prog.Compile(map[string]int{"n": n, "s": 2}, larcs.Limits{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkLaRCSParse(b *testing.B) {
-	w, _ := workload.ByName("sor")
-	for i := 0; i < b.N; i++ {
-		if _, err := larcs.Parse(w.Source); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- F3: dispatcher -----------------------------------------------------
-
-func BenchmarkDispatch(b *testing.B) {
-	cases := []struct {
-		name      string
-		workload  string
-		overrides map[string]int
-		net       *topology.Network
-	}{
-		{"canned-jacobi", "jacobi", map[string]int{"n": 4}, topology.Mesh(4, 4)},
-		{"systolic-mm", "systolicmm", map[string]int{"n": 4}, topology.Linear(4)},
-		{"group-broadcast", "broadcast8", nil, topology.Hypercube(2)},
-		{"arbitrary-nbody", "nbody", map[string]int{"n": 15, "s": 1}, topology.Hypercube(3)},
-	}
-	for _, tc := range cases {
-		w, _ := workload.ByName(tc.workload)
-		c, err := w.Compile(tc.overrides)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Map(core.Request{Compiled: c, Net: tc.net}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -206,26 +146,6 @@ func BenchmarkContractAblation(b *testing.B) {
 	}
 }
 
-func BenchmarkBlossomMatching(b *testing.B) {
-	for _, n := range []int{32, 64, 128, 256} {
-		var edges []matching.WEdge
-		rng := int64(n)
-		next := func() int { rng = rng*6364136223846793005 + 1442695040888963407; return int(uint64(rng) >> 40) }
-		for a := 0; a < n; a++ {
-			for c := a + 1; c < n; c++ {
-				if next()%4 == 0 {
-					edges = append(edges, matching.WEdge{I: a, J: c, Weight: float64(1 + next()%50)})
-				}
-			}
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matching.MaxWeightMatching(n, edges, false)
-			}
-		})
-	}
-}
-
 // --- F6 / C4: routing ---------------------------------------------------
 
 func BenchmarkMMRoute(b *testing.B) {
@@ -312,64 +232,6 @@ func BenchmarkBinomialMeshEmbed(b *testing.B) {
 	}
 }
 
-// --- C5: description compactness ----------------------------------------
-
-func BenchmarkDescriptionVsGraph(b *testing.B) {
-	w, _ := workload.ByName("nbody")
-	prog, err := larcs.Parse(w.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("description", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			prog.DescriptionSize()
-		}
-	})
-	b.Run("expand-n=1001", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Compile(map[string]int{"n": 1001, "s": 1}, larcs.Limits{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- Simulator ------------------------------------------------------------
-
-func BenchmarkSimulateNBody(b *testing.B) {
-	w, _ := workload.ByName("nbody")
-	c, _ := w.Compile(map[string]int{"n": 15, "s": 2})
-	res, err := core.Map(core.Request{Compiled: c, Net: topology.Hypercube(3)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Makespan(res.Mapping, c.Phases, sim.Config{}, 1<<20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Embedding ------------------------------------------------------------
-
-func BenchmarkNNEmbed(b *testing.B) {
-	w, _ := workload.ByName("nbody")
-	c, _ := w.Compile(map[string]int{"n": 63, "s": 1})
-	res, err := core.Map(core.Request{Compiled: c, Net: topology.Hypercube(5)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cg := res.Mapping.ClusterGraph()
-	net := topology.Hypercube(5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := embed.NNEmbed(cg, net); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Section 6 extensions -------------------------------------------------
 
 func BenchmarkSynchronySchedule(b *testing.B) {
@@ -422,20 +284,6 @@ func BenchmarkSpawning(b *testing.B) {
 			b.Fatal(err)
 		}
 		im.RunAll()
-	}
-}
-
-// --- Torus canned embedding ------------------------------------------------
-
-func BenchmarkTorusDetectAndEmbed(b *testing.B) {
-	w, _ := workload.ByName("matmul")
-	c, _ := w.Compile(map[string]int{"n": 8})
-	net := topology.Hypercube(6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Map(core.Request{Compiled: c, Net: net}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -502,43 +350,15 @@ func BenchmarkMapWithRefine(b *testing.B) {
 	}
 }
 
-func BenchmarkSimSwitchingModels(b *testing.B) {
-	w, _ := workload.ByName("nbody")
-	c, _ := w.Compile(map[string]int{"n": 31, "s": 2})
-	res, err := core.Map(core.Request{Compiled: c, Net: topology.Hypercube(4)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  sim.Config
-	}{
-		{"store-and-forward", sim.Config{}},
-		{"cut-through", sim.Config{CutThrough: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Makespan(res.Mapping, c.Phases, tc.cfg, 1<<20); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Parallel MAPPER hot paths ------------------------------------------
 
-// BenchmarkParallelPipeline measures the full pipeline on a large
-// generated workload at increasing Parallelism budgets. The workers=1
-// sub-benchmark is the sequential baseline; the others report a
-// "speedup" metric against it (>= ~2x at 4 workers on a 4+ core
-// machine; ~1x when GOMAXPROCS=1 — the budget changes wall-clock only,
-// never the mapping). `make bench-parallel` archives the results as
-// BENCH_parallel.json.
+// BenchmarkParallelPipeline measures the full pipeline on
+// allocWorkload at increasing Parallelism budgets; workers=1 is the
+// sequential baseline. The budget changes wall-clock only, never the
+// mapping, so compare worker counts only on a multicore host. Its
+// allocs/op are gated by TestAllocBudgetPipeline.
 func BenchmarkParallelPipeline(b *testing.B) {
-	g := gen.TaskGraph(gen.Rand(7), gen.GraphSize{Tasks: 160, Phases: 8, Density: 0.15, MaxWeight: 8})
-	c := &larcs.Compiled{Program: &larcs.Program{Name: g.Name}, Graph: g}
-	net := topology.Hypercube(4)
+	c, net := allocWorkload(b)
 	if _, err := core.Map(core.Request{Compiled: c, Net: net, Check: true, Parallelism: 0}); err != nil {
 		b.Fatal(err)
 	}
@@ -546,19 +366,12 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	if g := runtime.GOMAXPROCS(0); g > 4 {
 		workers = append(workers, g)
 	}
-	baseline := 0.0
 	for _, w := range workers {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Map(core.Request{Compiled: c, Net: net, Parallelism: w}); err != nil {
 					b.Fatal(err)
 				}
-			}
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if w == 1 {
-				baseline = nsPerOp
-			} else if baseline > 0 {
-				b.ReportMetric(baseline/nsPerOp, "speedup")
 			}
 		})
 	}

@@ -1,12 +1,14 @@
 // Command benchjson converts `go test -bench` text output (read from
 // stdin or a file argument) into a JSON document, so CI can archive
 // benchmark results as a machine-readable artifact and diff runs.
+// `make bench-multilevel` uses it to gate the multilevel scale
+// benchmark against the committed BENCH_multilevel.json.
 //
 // Usage:
 //
-//	go test -bench . -benchmem | go run ./tools/benchjson > BENCH_pipeline.json
-//	go run ./tools/benchjson bench.txt > BENCH_pipeline.json
-//	go run ./tools/benchjson -baseline BENCH_parallel.json bench.txt > new.json
+//	go test -bench . -benchmem | go run ./tools/benchjson > bench.json
+//	go run ./tools/benchjson bench.txt > bench.json
+//	go run ./tools/benchjson -baseline BENCH_multilevel.json bench.txt > new.json
 //
 // With -baseline, the converted run is also compared against a
 // previously archived document: any benchmark present in both whose

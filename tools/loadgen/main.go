@@ -1,34 +1,31 @@
 // Command loadgen is a closed-loop load generator for the oregami
-// mapping daemon (internal/serve). It drives POST /v1/map with a mix of
-// workload/network pairs in two phases — cold (cache bypassed, every
-// request computes) and warm (cache primed, requests hit) — and reports
-// latency percentiles, throughput, and the server's cache hit ratio as
-// a JSON document with the same shape tools/benchjson emits, so the two
-// artifacts can be archived and diffed by the same machinery.
+// mapping daemon (internal/serve). It spawns the daemon itself from the
+// binary named by -launch, drives POST /v1/map with a mix of
+// workload/network pairs, and reports latency percentiles, throughput
+// and cache hit ratios as a JSON document with the same shape
+// tools/benchjson emits. It has two harnesses, and one of -chaos or
+// -cluster must be given.
 //
 // Usage:
 //
-//	loadgen -addr 127.0.0.1:8080 -n 200 -c 8 -out BENCH_serve.json
-//	loadgen -launch ./oregami -n 200 -c 8 -out BENCH_serve.json
+//	loadgen -chaos -launch ./oregami -n 60 -c 4 -out BENCH_restart.json
+//	loadgen -cluster 3 -launch ./oregami -n 120 -c 6 -out BENCH_cluster.json
 //
-// With -launch, loadgen spawns `<binary> serve` itself on a free port,
-// runs the benchmark, and shuts the server down with SIGTERM.
+// With -chaos, loadgen runs the kill-driven crash-safety harness: it
+// launches the server with a persistent state directory, populates and
+// persists the cache, measures the warm hit ratio, then SIGKILLs the
+// server mid-write under nocache load, restarts it on the same address,
+// and fails unless the recovered server serves at least 90% of the
+// pre-kill warm hit ratio with zero fingerprint changes. The retrying
+// client package rides through the kill window; the emitted document
+// (BENCH_restart.json by convention) records recovery time and the p99
+// during the window.
 //
-// With -chaos (requires -launch), loadgen instead runs the kill-driven
-// crash-safety harness: it launches the server with a persistent state
-// directory, populates and persists the cache, measures the warm hit
-// ratio, then SIGKILLs the server mid-write under nocache load,
-// restarts it on the same address, and fails unless the recovered
-// server serves at least 90% of the pre-kill warm hit ratio with zero
-// fingerprint changes. The retrying client package rides through the
-// kill window; the emitted document (BENCH_restart.json by convention)
-// records recovery time and the p99 during the window.
-//
-// With -cluster N (requires -launch), loadgen spawns N serve nodes as a
-// consistent-hash cluster (-node-id/-peers), drives the mix round-robin
-// across every node so most requests land on a non-owner and must proxy,
-// then SIGKILLs one node partway through a timed window while the
-// survivors keep answering. The emitted document (BENCH_cluster.json by
+// With -cluster N, loadgen spawns N serve nodes as a consistent-hash
+// cluster (-node-id/-peers), drives the mix round-robin across every
+// node so most requests land on a non-owner and must proxy, then
+// SIGKILLs one node partway through a timed window while the survivors
+// keep answering. The emitted document (BENCH_cluster.json by
 // convention) records aggregate rps, the cross-node hit ratio (proxied
 // cache hits), and the p99 with a node down; the run fails on any
 // fingerprint drift, any error while degraded, or a cluster that never
@@ -38,6 +35,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -142,14 +140,10 @@ func percentile(ds []time.Duration, q float64) time.Duration {
 	sorted := make([]time.Duration, len(ds))
 	copy(sorted, ds)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(q/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	// Multiply before dividing so an integer q stays exact: 7/100*100
+	// is 7.000000000000001 in float64, and its ceiling skips a rank.
+	rank := int(math.Ceil(q*float64(len(sorted))/100)) - 1
+	return sorted[max(0, min(rank, len(sorted)-1))]
 }
 
 // phaseStats summarizes one benchmark phase.
@@ -368,12 +362,10 @@ func (s *server) kill() {
 // flags bundles the parsed command line.
 type flags struct {
 	fs        *flag.FlagSet
-	addr      *string
 	launch    *string
 	mix       *string
 	n         *int
 	c         *int
-	check     *bool
 	chaos     *bool
 	cluster   *int
 	stateDir  *string
@@ -383,12 +375,10 @@ type flags struct {
 
 func newFlagSet() *flags {
 	f := &flags{fs: flag.NewFlagSet("loadgen", flag.ContinueOnError)}
-	f.addr = f.fs.String("addr", "", "address of a running oregami serve (host:port)")
-	f.launch = f.fs.String("launch", "", "path to an oregami binary to spawn with `serve` (used when -addr is empty)")
+	f.launch = f.fs.String("launch", "", "path to an oregami binary to spawn with `serve`")
 	f.mix = f.fs.String("mix", "nbody:n=511@hypercube:5,jacobi:n=32@mesh:8,4,broadcast8@hypercube:3", "comma-separated workload[:k=v...]@net entries to request round-robin")
 	f.n = f.fs.Int("n", 200, "requests per phase")
 	f.c = f.fs.Int("c", 8, "concurrent closed-loop workers")
-	f.check = f.fs.Bool("check", false, "request oracle verification (options.check) on every map")
 	f.chaos = f.fs.Bool("chaos", false, "run the kill-driven crash-safety harness (requires -launch)")
 	f.cluster = f.fs.Int("cluster", 0, "run N serve nodes as a consistent-hash cluster and kill one mid-run (requires -launch; -kill-after and -window shape the kill window)")
 	f.stateDir = f.fs.String("state-dir", "", "persistent state directory for -chaos (default: a temp dir, removed on success)")
@@ -740,6 +730,9 @@ func runCluster(fs *flags, mix []target, out io.Writer) error {
 	return nil
 }
 
+// errNoMode is run's error when neither harness is selected.
+var errNoMode = errors.New("need -chaos or -cluster")
+
 func run(args []string, out io.Writer) error {
 	fs := newFlagSet()
 	if err := fs.fs.Parse(args); err != nil {
@@ -758,61 +751,7 @@ func run(args []string, out io.Writer) error {
 	if *fs.chaos {
 		return runChaos(fs, mix, out)
 	}
-	addr := *fs.addr
-	if addr == "" {
-		if *fs.launch == "" {
-			return fmt.Errorf("need -addr or -launch")
-		}
-		srv, err := launchServer(*fs.launch, "127.0.0.1:0", *fs.c, "")
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := srv.stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "loadgen: server shutdown:", err)
-			}
-		}()
-		addr = srv.addr
-	}
-	// Measured phases use a non-retrying client so every failure is an
-	// error in the numbers, not a silently-retried blip.
-	cl := client.New(addr, client.WithRetries(1))
-	cls := []*client.Client{cl}
-
-	// Cold: bypass the cache so every request pays full compute.
-	cold := drive(cls, mix, *fs.n, *fs.c, client.MapOptions{NoCache: true, Check: *fs.check}, nil, nil)
-	// Prime: one cached entry per mix element.
-	prime := drive(cls, mix, len(mix), 1, client.MapOptions{Check: *fs.check}, nil, nil)
-	// Warm: every request should now hit.
-	warm := drive(cls, mix, *fs.n, *fs.c, client.MapOptions{Check: *fs.check}, nil, nil)
-
-	coldRes := cold.result("ServeMapCold", *fs.c)
-	warmRes := warm.result("ServeMapWarm", *fs.c)
-	if st, err := cl.Stats(context.Background()); err == nil {
-		warmRes.Extra["hit-ratio"] = st.HitRatio
-	}
-	warmRes.Extra["warm-hits"] = float64(warm.CacheHit)
-	if warmRes.NsPerOp > 0 {
-		warmRes.Extra["speedup-x"] = coldRes.NsPerOp / warmRes.NsPerOp
-	}
-	doc := Document{
-		Meta: map[string]string{
-			"tool":        "loadgen",
-			"addr":        addr,
-			"mix":         *fs.mix,
-			"concurrency": fmt.Sprint(*fs.c),
-			"requests":    fmt.Sprint(*fs.n),
-		},
-		Results: []Result{coldRes, warmRes},
-	}
-	if err := writeDoc(out, doc); err != nil {
-		return err
-	}
-	if cold.Errors > 0 || warm.Errors > 0 || prime.Errors > 0 {
-		return fmt.Errorf("%d cold / %d prime / %d warm requests failed",
-			cold.Errors, prime.Errors, warm.Errors)
-	}
-	return nil
+	return errNoMode
 }
 
 func main() {

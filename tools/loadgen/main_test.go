@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http/httptest"
 	"os/exec"
@@ -90,50 +91,23 @@ func TestPercentile(t *testing.T) {
 	if ds[0] != 100*time.Millisecond {
 		t.Error("percentile mutated its input")
 	}
-}
-
-// TestRunAgainstServer drives the full cold/prime/warm cycle against an
-// in-process mapping daemon and checks the emitted document.
-func TestRunAgainstServer(t *testing.T) {
-	ts := httptest.NewServer(serve.New(serve.Config{}).Handler())
-	defer ts.Close()
-	addr := strings.TrimPrefix(ts.URL, "http://")
-	var buf bytes.Buffer
-	err := run([]string{
-		"-addr", addr, "-n", "12", "-c", "3",
-		"-mix", "broadcast8@hypercube:3,nbody@hypercube:3",
-	}, &buf)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, buf.String())
-	}
-	var doc Document
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, buf.String())
-	}
-	if len(doc.Results) != 2 {
-		t.Fatalf("results = %d, want 2 (cold, warm)", len(doc.Results))
-	}
-	cold, warm := doc.Results[0], doc.Results[1]
-	if cold.Name != "ServeMapCold" || warm.Name != "ServeMapWarm" {
-		t.Errorf("result names = %q, %q", cold.Name, warm.Name)
-	}
-	if cold.Iterations != 12 || warm.Iterations != 12 {
-		t.Errorf("iterations = %d/%d, want 12/12", cold.Iterations, warm.Iterations)
-	}
-	if cold.Extra["errors"] != 0 || warm.Extra["errors"] != 0 {
-		t.Errorf("errors: cold=%v warm=%v", cold.Extra["errors"], warm.Extra["errors"])
-	}
-	if warm.Extra["warm-hits"] != 12 {
-		t.Errorf("warm-hits = %v, want 12", warm.Extra["warm-hits"])
-	}
-	if warm.Extra["hit-ratio"] <= 0 {
-		t.Errorf("hit-ratio = %v, want > 0", warm.Extra["hit-ratio"])
-	}
-	if warm.Extra["speedup-x"] <= 0 {
-		t.Errorf("speedup-x = %v, want > 0", warm.Extra["speedup-x"])
-	}
-	if doc.Meta["addr"] != addr {
-		t.Errorf("meta addr = %q, want %q", doc.Meta["addr"], addr)
+	// Nearest rank is ceil(q*n/100): rounding q*n/100 to the nearest
+	// rank instead reads one sample low on these sizes.
+	for _, tc := range []struct {
+		n    int
+		q    float64
+		want time.Duration
+	}{
+		{60, 99, 60 * time.Millisecond},
+		{10, 91, 10 * time.Millisecond},
+	} {
+		ds := make([]time.Duration, tc.n)
+		for i := range ds {
+			ds[i] = time.Duration(i+1) * time.Millisecond
+		}
+		if got := percentile(ds, tc.q); got != tc.want {
+			t.Errorf("n=%d: percentile(%v) = %v, want %v", tc.n, tc.q, got, tc.want)
+		}
 	}
 }
 
@@ -142,8 +116,8 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-mix", "garbage"}, &buf); err == nil {
 		t.Error("bad mix accepted")
 	}
-	if err := run([]string{}, &buf); err == nil || !strings.Contains(err.Error(), "-addr or -launch") {
-		t.Errorf("missing target: err = %v", err)
+	if err := run([]string{"-launch", "/bin/false"}, &buf); !errors.Is(err, errNoMode) {
+		t.Errorf("neither -chaos nor -cluster: err = %v, want errNoMode", err)
 	}
 }
 
