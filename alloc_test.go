@@ -19,15 +19,18 @@ import (
 	"fmt"
 	"testing"
 
+	"oregami/internal/canned"
 	"oregami/internal/check"
 	"oregami/internal/contract"
 	"oregami/internal/core"
 	"oregami/internal/gen"
+	"oregami/internal/graph"
 	"oregami/internal/larcs"
 	"oregami/internal/metrics"
 	"oregami/internal/multilevel"
 	"oregami/internal/route"
 	"oregami/internal/topology"
+	"oregami/internal/workload"
 )
 
 // allocWorkload is also BenchmarkParallelPipeline's workload: large
@@ -222,6 +225,40 @@ func TestAllocBudgetPipeline(t *testing.T) {
 			gate(t, "core.Map pipeline", tc.ceiling, func() {
 				if _, err := core.Map(req); err != nil {
 					t.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
+// TestAllocBudgetDetect gates canned family detection, which reads the
+// cached CSR directly: the map-shaped adjacency it used to rebuild per
+// call cost 377, 158 and 299 allocs/op on these three graphs. Ceilings
+// are ~1.5x the CSR-walking counts (88, 16 and 120).
+func TestAllocBudgetDetect(t *testing.T) {
+	jacobi, err := workload.ByName("jacobi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := jacobi.Compile(map[string]int{"n": 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		g       *graph.TaskGraph
+		family  string
+		ceiling float64
+	}{
+		{"jacobi n=12", grid.Graph, canned.FamilyGrid, 132},
+		{"hypercube(6)", gen.FromNetwork(topology.Hypercube(6)), canned.FamilyHypercube, 24},
+		{"binomial(6)", gen.FromNetwork(topology.BinomialTree(6)), canned.FamilyBinomial, 180},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.g.WarmCSR()
+			gate(t, "canned.Detect", tc.ceiling, func() {
+				if d := canned.Detect(tc.g); d == nil || d.Family != tc.family {
+					t.Fatalf("detected %v, want %s", d, tc.family)
 				}
 			})
 		})

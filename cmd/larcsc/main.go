@@ -206,6 +206,10 @@ func runMap(args []string) error {
 	if *parallel < 0 {
 		return usageError{fmt.Errorf("-parallel must be >= 0 (0 = all CPUs), got %d", *parallel)}
 	}
+	class, err := core.ParseClass(*algo)
+	if err != nil {
+		return usageError{err}
+	}
 	net, err := topology.ParseSpec(*netSpec)
 	if err != nil {
 		return usageError{err}
@@ -226,7 +230,7 @@ func runMap(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: core.Class(*algo), Check: *doCheck, Parallelism: *parallel})
+	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: class, Check: *doCheck, Parallelism: *parallel})
 	if err != nil {
 		var pe *core.PipelineError
 		var ve *check.ViolationError

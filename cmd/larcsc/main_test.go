@@ -224,4 +224,8 @@ func TestCLIAlgo(t *testing.T) {
 	if !strings.Contains(string(out), "class multilevel") {
 		t.Errorf("class missing:\n%s", out)
 	}
+	// An unknown class is a usage error, rejected before compiling.
+	if code, out := exitCode(t, bin, "map", "-workload", "nbody", "-net", "hypercube:3", "-algo", "bogus"); code != 2 {
+		t.Errorf("-algo bogus: exit %d, want 2\n%s", code, out)
+	}
 }

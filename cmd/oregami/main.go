@@ -124,8 +124,15 @@ func run(out *os.File) error {
 	flag.Var(binds, "D", "parameter binding name=value (repeatable)")
 	flag.Parse()
 
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: oregami takes flags only (its one subcommand is `oregami serve`)", flag.Args())
+	}
 	if *netSpec == "" {
 		return fmt.Errorf("need -net (e.g. -net hypercube:3)")
+	}
+	class, err := core.ParseClass(*algo)
+	if err != nil {
+		return err
 	}
 	net, err := topology.ParseSpec(*netSpec)
 	if err != nil {
@@ -199,7 +206,7 @@ func run(out *os.File) error {
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 = all CPUs), got %d", *parallel)
 	}
-	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: core.Class(*algo), Check: *doCheck, Parallelism: *parallel})
+	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: class, Check: *doCheck, Parallelism: *parallel})
 	if err != nil {
 		return err
 	}

@@ -72,6 +72,7 @@ func TestCLIErrors(t *testing.T) {
 		{"-workload", "nbody", "-net", "nosuch:3"},                      // unknown family
 		{"-workload", "zzz", "-net", "hypercube:3"},                     // unknown workload
 		{"-workload", "nbody", "-net", "mesh:2,2", "-algo", "systolic"}, // inapplicable class
+		{"-workload", "nbody", "-net", "hypercube:3", "extra"},          // stray positional argument
 	} {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 			t.Errorf("args %v accepted:\n%s", args, out)

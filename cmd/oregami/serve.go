@@ -25,7 +25,7 @@ func runServe(args []string, out *os.File) error {
 	queue := fs.Int("queue", 0, "admission queue depth beyond the workers (0 = default 64, negative = no queue)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "result cache budget in bytes (0 = default 64MiB, negative = cache off)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline ceiling (0 = default 30s)")
-	stageTimeout := fs.Duration("stage-timeout", 0, "per-stage deadline ceiling (0 = default 10s)")
+	stageTimeout := fs.Duration("stage-timeout", 0, "per-stage deadline ceiling (0 = no stage bound)")
 	drain := fs.Duration("drain", 0, "graceful shutdown budget (0 = default 10s)")
 	maxTasks := fs.Int("max-tasks", 0, "cap on the expanded task count (0 = default 1048576)")
 	maxEdges := fs.Int("max-edges", 0, "cap on the expanded edge count (0 = default 4194304)")

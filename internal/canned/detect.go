@@ -8,6 +8,7 @@ package canned
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -37,101 +38,72 @@ type Detection struct {
 
 // Detect recognizes the collapsed structure of g as one of the known
 // families, trying the most specific families first. It returns nil if
-// no family matches.
+// no family matches. Detection walks the CSR, whose rows are ascending,
+// so every "first neighbor in the row" pick is the smallest neighbor and
+// the canonical labeling is the same on every run.
 func Detect(g *graph.TaskGraph) *Detection {
-	adj := undirectedSets(g)
-	if d := detectHypercube(adj); d != nil {
+	if g.NumTasks == 0 {
+		return nil
+	}
+	// Every family is connected; the distances from task 0 also seed
+	// the hypercube labeling.
+	dist0 := g.BFSDistances(0)
+	for _, d := range dist0 {
+		if d < 0 {
+			return nil
+		}
+	}
+	c := g.CSR()
+	if d := detectHypercube(c, dist0); d != nil {
 		return d
 	}
-	if d := detectGrid(adj); d != nil {
+	if d := detectGrid(g, c); d != nil {
 		return d
 	}
-	if d := detectTorus(adj); d != nil {
+	if d := detectTorus(c); d != nil {
 		return d
 	}
-	if d := detectRing(adj); d != nil {
+	if d := detectRing(c); d != nil {
 		return d
 	}
-	if d := detectLinear(adj); d != nil {
+	if d := detectLinear(c); d != nil {
 		return d
 	}
-	if d := detectBinomial(adj); d != nil {
+	if d := detectBinomial(c); d != nil {
 		return d
 	}
-	if d := detectCBTree(adj); d != nil {
+	if d := detectCBTree(c); d != nil {
 		return d
 	}
 	return nil
 }
 
-// undirectedSets returns the collapsed adjacency as neighbor sets.
-func undirectedSets(g *graph.TaskGraph) []map[int]bool {
-	adj := make([]map[int]bool, g.NumTasks)
-	for i := range adj {
-		adj[i] = make(map[int]bool)
-	}
-	csr := g.CSR()
-	for v := 0; v < g.NumTasks; v++ {
-		for _, u := range csr.Neighbors(v) {
-			adj[v][int(u)] = true
-		}
-	}
-	return adj
+// adjacent reports whether tasks a and b share a collapsed edge.
+func adjacent(c *graph.CSR, a, b int) bool {
+	_, ok := c.WeightBetween(a, b)
+	return ok
 }
 
-func connected(adj []map[int]bool) bool {
-	n := len(adj)
-	if n == 0 {
-		return false
-	}
-	seen := make([]bool, n)
-	seen[0] = true
-	count := 1
-	for q := []int{0}; len(q) > 0; {
-		v := q[0]
-		q = q[1:]
-		for u := range adj[v] {
-			if !seen[u] {
-				seen[u] = true
-				count++
-				q = append(q, u)
-			}
-		}
-	}
-	return count == n
-}
-
-func edgeCount(adj []map[int]bool) int {
-	n := 0
-	for _, s := range adj {
-		n += len(s)
-	}
-	return n / 2
-}
-
-func detectRing(adj []map[int]bool) *Detection {
-	n := len(adj)
-	if n < 3 || !connected(adj) {
+func detectRing(c *graph.CSR) *Detection {
+	n := c.N
+	if n < 3 {
 		return nil
 	}
-	for _, s := range adj {
-		if len(s) != 2 {
+	for v := 0; v < n; v++ {
+		if c.Degree(v) != 2 {
 			return nil
 		}
 	}
-	// Walk the cycle from 0, taking the smallest eligible neighbor at
-	// every step — the first step has two candidates and map iteration
-	// order must not pick the orientation, or the canonicalization (and
-	// every mapping built on it) changes between runs.
+	// Walk the cycle from 0; the first step goes to the smaller
+	// neighbor, every later step to the neighbor we did not come from.
 	canon := make([]int, n)
 	prev, cur := -1, 0
 	for i := 0; i < n; i++ {
 		canon[cur] = i
-		next := -1
-		for u := range adj[cur] {
-			if u != prev && (next == -1 || u < next) {
-				next = u
-			}
+		row := c.Neighbors(cur)
+		next := int(row[0])
+		if next == prev {
+			next = int(row[1])
 		}
 		prev, cur = cur, next
 	}
@@ -141,15 +113,15 @@ func detectRing(adj []map[int]bool) *Detection {
 	return &Detection{Family: FamilyRing, Params: []int{n}, Canon: canon}
 }
 
-func detectLinear(adj []map[int]bool) *Detection {
-	n := len(adj)
-	if n < 2 || !connected(adj) || edgeCount(adj) != n-1 {
+func detectLinear(c *graph.CSR) *Detection {
+	n := c.N
+	if n < 2 || c.NumPairs() != n-1 {
 		return nil
 	}
 	ends := 0
 	start := -1
-	for v, s := range adj {
-		switch len(s) {
+	for v := 0; v < n; v++ {
+		switch c.Degree(v) {
 		case 1:
 			ends++
 			if start == -1 {
@@ -168,9 +140,9 @@ func detectLinear(adj []map[int]bool) *Detection {
 	for i := 0; i < n; i++ {
 		canon[cur] = i
 		next := -1
-		for u := range adj[cur] {
-			if u != prev {
-				next = u
+		for _, u := range c.Neighbors(cur) {
+			if int(u) != prev {
+				next = int(u)
 			}
 		}
 		prev, cur = cur, next
@@ -181,14 +153,14 @@ func detectLinear(adj []map[int]bool) *Detection {
 // detectGrid coordinatizes a 2-D mesh from corner distances: with c0 a
 // corner at (0,0) and c1 the nearest other corner at (0, C-1), Manhattan
 // distances give r = (d0+d1-(C-1))/2 and c = (d0-d1+(C-1))/2.
-func detectGrid(adj []map[int]bool) *Detection {
-	n := len(adj)
-	if n < 4 || !connected(adj) {
+func detectGrid(g *graph.TaskGraph, c *graph.CSR) *Detection {
+	n := c.N
+	if n < 4 {
 		return nil
 	}
-	var corners []int
-	for v, s := range adj {
-		switch len(s) {
+	var corners []int // ascending: collected in task order
+	for v := 0; v < n; v++ {
+		switch c.Degree(v) {
 		case 2:
 			corners = append(corners, v)
 		case 3, 4:
@@ -201,14 +173,12 @@ func detectGrid(adj []map[int]bool) *Detection {
 	if len(corners) != 4 {
 		return nil
 	}
-	sort.Ints(corners)
-	c0 := corners[0]
-	d0 := bfsDist(adj, c0)
+	d0 := g.BFSDistances(corners[0])
 	// Nearest other corner defines the column count.
 	c1, best := -1, 1<<30
-	for _, c := range corners[1:] {
-		if d0[c] < best {
-			c1, best = c, d0[c]
+	for _, v := range corners[1:] {
+		if d0[v] < best {
+			c1, best = v, d0[v]
 		}
 	}
 	cols := best + 1
@@ -216,7 +186,7 @@ func detectGrid(adj []map[int]bool) *Detection {
 		return nil
 	}
 	rows := n / cols
-	d1 := bfsDist(adj, c1)
+	d1 := g.BFSDistances(c1)
 	coord := make([]int, n)
 	for v := range coord {
 		sum := d0[v] + d1[v] - (cols - 1)
@@ -224,69 +194,58 @@ func detectGrid(adj []map[int]bool) *Detection {
 		if sum < 0 || sum%2 != 0 || diff < 0 || diff%2 != 0 {
 			return nil
 		}
-		r, c := sum/2, diff/2
-		if r >= rows || c >= cols {
+		r, col := sum/2, diff/2
+		if r >= rows || col >= cols {
 			return nil
 		}
-		coord[v] = r*cols + c
+		coord[v] = r*cols + col
 	}
-	if !verifyGrid(adj, coord, rows, cols) {
+	if !verifyGrid(c, coord, rows, cols) {
 		return nil
 	}
 	return &Detection{Family: FamilyGrid, Params: []int{rows, cols}, Canon: coord}
 }
 
-func bfsDist(adj []map[int]bool, src int) []int {
-	d := make([]int, len(adj))
-	for i := range d {
-		d[i] = -1
-	}
-	d[src] = 0
-	for q := []int{src}; len(q) > 0; {
-		v := q[0]
-		q = q[1:]
-		for u := range adj[v] {
-			if d[u] == -1 {
-				d[u] = d[v] + 1
-				q = append(q, u)
-			}
-		}
-	}
-	return d
-}
-
-func verifyGrid(adj []map[int]bool, coord []int, rows, cols int) bool {
-	pos := make([]int, rows*cols)
+// positions inverts a canonical labeling: pos[l] is the task labeled l.
+// It returns nil unless coord is a bijection onto 0..size-1.
+func positions(coord []int, size int) []int {
+	pos := make([]int, size)
 	for i := range pos {
 		pos[i] = -1
 	}
-	for v, c := range coord {
-		if c < 0 || c >= rows*cols || pos[c] != -1 {
-			return false
+	for v, l := range coord {
+		if l < 0 || l >= size || pos[l] != -1 {
+			return nil
 		}
-		pos[c] = v
+		pos[l] = v
+	}
+	return pos
+}
+
+func verifyGrid(c *graph.CSR, coord []int, rows, cols int) bool {
+	pos := positions(coord, rows*cols)
+	if pos == nil {
+		return false
 	}
 	want := 0
 	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			v := pos[r*cols+c]
-			deg := 0
-			if c+1 < cols {
-				if !adj[v][pos[r*cols+c+1]] {
+		for col := 0; col < cols; col++ {
+			v := pos[r*cols+col]
+			if col+1 < cols {
+				if !adjacent(c, v, pos[r*cols+col+1]) {
 					return false
 				}
-				deg++
+				want++
 			}
 			if r+1 < rows {
-				if !adj[v][pos[(r+1)*cols+c]] {
+				if !adjacent(c, v, pos[(r+1)*cols+col]) {
 					return false
 				}
-				deg++
+				want++
 			}
-			want += deg
 		}
 	}
-	return edgeCount(adj) == want
+	return c.NumPairs() == want
 }
 
 // detectTorus coordinatizes a 2-D torus with both extents >= 5 (smaller
@@ -296,28 +255,28 @@ func verifyGrid(adj []map[int]bool, coord []int, rows, cols int) bool {
 // the straight neighbor u of cur (coming from prev) is the unique
 // neighbor with exactly one common neighbor with prev (the turns share
 // two).
-func detectTorus(adj []map[int]bool) *Detection {
-	n := len(adj)
-	if n < 25 || !connected(adj) {
+func detectTorus(c *graph.CSR) *Detection {
+	n := c.N
+	if n < 25 {
 		return nil
 	}
-	for _, s := range adj {
-		if len(s) != 4 {
+	for v := 0; v < n; v++ {
+		if c.Degree(v) != 4 {
 			return nil
 		}
 	}
-	if edgeCount(adj) != 2*n {
+	if c.NumPairs() != 2*n {
 		return nil
 	}
 	straight := func(prev, cur int) int {
 		out := -1
-		for u := range adj[cur] {
-			if u == prev {
+		for _, u := range c.Neighbors(cur) {
+			if int(u) == prev {
 				continue
 			}
 			common := 0
-			for w := range adj[u] {
-				if adj[prev][w] {
+			for _, w := range c.Neighbors(int(u)) {
+				if adjacent(c, prev, int(w)) {
 					common++
 				}
 			}
@@ -325,19 +284,13 @@ func detectTorus(adj []map[int]bool) *Detection {
 				if out != -1 {
 					return -1 // ambiguous: not a chord-free torus
 				}
-				out = u
+				out = int(u)
 			}
 		}
 		return out
 	}
-	// Walk a row from 0 through an arbitrary first neighbor.
-	first := -1
-	for u := range adj[0] {
-		if first == -1 || u < first {
-			first = u
-		}
-	}
-	row := []int{0, first}
+	// Walk a row from 0 through its first neighbor.
+	row := []int{0, int(c.Neighbors(0)[0])}
 	for {
 		nxt := straight(row[len(row)-2], row[len(row)-1])
 		if nxt == -1 {
@@ -359,36 +312,26 @@ func detectTorus(adj []map[int]bool) *Detection {
 	if rows < 5 {
 		return nil
 	}
-	// Pick the column direction: a neighbor of 0 not in the row.
-	inRow := make(map[int]bool, cols)
-	for _, v := range row {
-		inRow[v] = true
+	coord := make([]int, n)
+	for i := range coord {
+		coord[i] = -1
 	}
-	// Take the smallest such neighbor so the vertical orientation (and
-	// with it the canonical labeling) is the same on every run; an
-	// arbitrary map pick mirrored the torus between executions, the same
-	// defect PR 5 fixed in detectRing.
+	for i, v := range row {
+		coord[v] = i
+	}
+	// The column direction: the first neighbor of 0 not in the row.
 	down := -1
-	for u := range adj[0] {
-		if !inRow[u] && (down == -1 || u < down) {
-			down = u
+	for _, u := range c.Neighbors(0) {
+		if coord[u] == -1 {
+			down = int(u)
+			break
 		}
 	}
 	if down == -1 {
 		return nil
 	}
-	coord := make([]int, n)
-	for i := range coord {
-		coord[i] = -1
-	}
 	cur := row
-	for i, v := range cur {
-		coord[v] = i
-	}
-	prevRow := make([]int, cols)
-	for i := range prevRow {
-		prevRow[i] = -1 // sentinel: row -1 unknown; use straight from row r-1
-	}
+	var prevRow []int
 	for r := 1; r < rows; r++ {
 		next := make([]int, cols)
 		for i, v := range cur {
@@ -400,12 +343,12 @@ func detectTorus(adj []map[int]bool) *Detection {
 					// The neighbor of cur[i] adjacent to next[i-1],
 					// unvisited.
 					cand = -1
-					for u := range adj[v] {
-						if coord[u] == -1 && adj[u][next[i-1]] {
+					for _, u := range c.Neighbors(v) {
+						if coord[u] == -1 && adjacent(c, int(u), next[i-1]) {
 							if cand != -1 {
 								return nil
 							}
-							cand = u
+							cand = int(u)
 						}
 					}
 				}
@@ -421,30 +364,22 @@ func detectTorus(adj []map[int]bool) *Detection {
 		prevRow = cur
 		cur = next
 	}
-	if !verifyTorus(adj, coord, rows, cols) {
+	if !verifyTorus(c, coord, rows, cols) {
 		return nil
 	}
 	return &Detection{Family: FamilyTorus, Params: []int{rows, cols}, Canon: coord}
 }
 
-func verifyTorus(adj []map[int]bool, coord []int, rows, cols int) bool {
-	pos := make([]int, rows*cols)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for v, c := range coord {
-		if c < 0 || c >= rows*cols || pos[c] != -1 {
-			return false
-		}
-		pos[c] = v
+func verifyTorus(c *graph.CSR, coord []int, rows, cols int) bool {
+	pos := positions(coord, rows*cols)
+	if pos == nil {
+		return false
 	}
 	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			v := pos[r*cols+c]
-			if !adj[v][pos[r*cols+(c+1)%cols]] {
-				return false
-			}
-			if !adj[v][pos[((r+1)%rows)*cols+c]] {
+		for col := 0; col < cols; col++ {
+			v := pos[r*cols+col]
+			if !adjacent(c, v, pos[r*cols+(col+1)%cols]) ||
+				!adjacent(c, v, pos[((r+1)%rows)*cols+col]) {
 				return false
 			}
 		}
@@ -452,60 +387,54 @@ func verifyTorus(adj []map[int]bool, coord []int, rows, cols int) bool {
 	return true
 }
 
-func detectHypercube(adj []map[int]bool) *Detection {
-	n := len(adj)
+// detectHypercube labels a d-cube from the BFS distances dist of task 0.
+func detectHypercube(c *graph.CSR, dist []int) *Detection {
+	n := c.N
 	d := 0
 	for 1<<uint(d) < n {
 		d++
 	}
-	if n < 2 || 1<<uint(d) != n || !connected(adj) {
+	if n < 2 || 1<<uint(d) != n {
 		return nil
 	}
-	for _, s := range adj {
-		if len(s) != d {
+	for v := 0; v < n; v++ {
+		if c.Degree(v) != d {
 			return nil
 		}
 	}
-	if edgeCount(adj) != n*d/2 {
+	if c.NumPairs() != n*d/2 {
 		return nil
 	}
 	// Label node 0 as bitstring 0 and its neighbors as the unit
-	// bitmasks. Any node u at BFS distance >= 2 from node 0 has (in a
-	// true hypercube) at least two neighbors x, y one layer closer, and
-	// its label must be label[x] | label[y] (x and y are u with one of
-	// u's set bits cleared). Verification afterwards rejects impostors.
+	// bitmasks in row order. Any node u at BFS distance >= 2 from node 0
+	// has (in a true hypercube) at least two neighbors x, y one layer
+	// closer, and its label must be label[x] | label[y] (x and y are u
+	// with one of u's set bits cleared). Verification afterwards rejects
+	// impostors.
 	label := make([]int, n)
 	for i := range label {
 		label[i] = -1
 	}
-	dist := bfsDist(adj, 0)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return dist[order[a]] < dist[order[b]] })
 	label[0] = 0
-	bit := 1
-	var units []int
-	for u := range adj[0] {
-		units = append(units, u)
-	}
-	sort.Ints(units)
-	for _, u := range units {
-		label[u] = bit
-		bit <<= 1
+	for i, u := range c.Neighbors(0) {
+		label[u] = 1 << uint(i)
 	}
 	for _, u := range order {
 		if dist[u] < 2 {
 			continue
 		}
 		x, y := -1, -1
-		for w := range adj[u] {
+		for _, w := range c.Neighbors(u) {
 			if dist[w] == dist[u]-1 && label[w] != -1 {
 				if x == -1 {
-					x = w
+					x = int(w)
 				} else {
-					y = w
+					y = int(w)
 					break
 				}
 			}
@@ -523,9 +452,9 @@ func detectHypercube(adj []map[int]bool) *Detection {
 		seen[l] = true
 	}
 	// Final verification: adjacency iff Hamming distance 1.
-	for v, s := range adj {
-		for u := range s {
-			if popcount(label[v]^label[u]) != 1 {
+	for v := 0; v < n; v++ {
+		for _, u := range c.Neighbors(v) {
+			if bits.OnesCount(uint(label[v]^label[u])) != 1 {
 				return nil
 			}
 		}
@@ -533,34 +462,31 @@ func detectHypercube(adj []map[int]bool) *Detection {
 	return &Detection{Family: FamilyHypercube, Params: []int{d}, Canon: label}
 }
 
-func popcount(x int) int {
-	c := 0
-	for ; x != 0; x &= x - 1 {
-		c++
-	}
-	return c
-}
-
 // detectBinomial checks for the binomial tree B_k via AHU canonical
 // encoding rooted at the unique maximum-degree vertex.
-func detectBinomial(adj []map[int]bool) *Detection {
-	n := len(adj)
+func detectBinomial(c *graph.CSR) *Detection {
+	n := c.N
 	k := 0
 	for 1<<uint(k) < n {
 		k++
 	}
-	if n < 2 || 1<<uint(k) != n || edgeCount(adj) != n-1 || !connected(adj) {
+	if n < 2 || 1<<uint(k) != n || c.NumPairs() != n-1 {
 		return nil
 	}
-	root := maxDegreeVertex(adj)
-	if len(adj[root]) != k {
+	root := 0
+	for v := 1; v < n; v++ {
+		if c.Degree(v) > c.Degree(root) {
+			root = v
+		}
+	}
+	if c.Degree(root) != k {
 		return nil
 	}
 	canon := make([]int, n)
 	for i := range canon {
 		canon[i] = -1
 	}
-	if !assignBinomial(adj, root, -1, k, 0, canon) {
+	if !assignBinomial(c, root, -1, k, 0, canon) {
 		return nil
 	}
 	return &Detection{Family: FamilyBinomial, Params: []int{k}, Canon: canon}
@@ -569,12 +495,12 @@ func detectBinomial(adj []map[int]bool) *Detection {
 // assignBinomial labels the subtree rooted at v (coming from parent) as
 // the binomial tree B_order with root label base; children must be roots
 // of B_0..B_{order-1}.
-func assignBinomial(adj []map[int]bool, v, parent, order, base int, canon []int) bool {
+func assignBinomial(c *graph.CSR, v, parent, order, base int, canon []int) bool {
 	canon[v] = base
 	var kids []int
-	for u := range adj[v] {
-		if u != parent {
-			kids = append(kids, u)
+	for _, u := range c.Neighbors(v) {
+		if int(u) != parent {
+			kids = append(kids, int(u))
 		}
 	}
 	if len(kids) != order {
@@ -583,59 +509,47 @@ func assignBinomial(adj []map[int]bool, v, parent, order, base int, canon []int)
 	// Sort children by subtree size = 2^their order; match each to a
 	// distinct order 0..order-1 by degree heuristic then verify.
 	sort.Slice(kids, func(i, j int) bool {
-		return subtreeSize(adj, kids[i], v) < subtreeSize(adj, kids[j], v)
+		return subtreeSize(c, kids[i], v) < subtreeSize(c, kids[j], v)
 	})
 	for i, kid := range kids {
-		if subtreeSize(adj, kid, v) != 1<<uint(i) {
+		if subtreeSize(c, kid, v) != 1<<uint(i) {
 			return false
 		}
-		if !assignBinomial(adj, kid, v, i, base+(1<<uint(i)), canon) {
+		if !assignBinomial(c, kid, v, i, base+(1<<uint(i)), canon) {
 			return false
 		}
 	}
 	return true
 }
 
-func subtreeSize(adj []map[int]bool, v, parent int) int {
+func subtreeSize(c *graph.CSR, v, parent int) int {
 	n := 1
-	for u := range adj[v] {
-		if u != parent {
-			n += subtreeSize(adj, u, v)
+	for _, u := range c.Neighbors(v) {
+		if int(u) != parent {
+			n += subtreeSize(c, int(u), v)
 		}
 	}
 	return n
 }
 
-func maxDegreeVertex(adj []map[int]bool) int {
-	best, bd := 0, -1
-	for v, s := range adj {
-		if len(s) > bd {
-			best, bd = v, len(s)
-		}
-	}
-	return best
-}
-
 // detectCBTree checks for a complete binary tree and labels it in heap
-// order.
-func detectCBTree(adj []map[int]bool) *Detection {
-	n := len(adj)
+// order, the smaller child of each node on the left.
+func detectCBTree(c *graph.CSR) *Detection {
+	n := c.N
 	d := 0
 	for 1<<uint(d+1)-1 < n {
 		d++
 	}
-	if n < 3 || 1<<uint(d+1)-1 != n || edgeCount(adj) != n-1 || !connected(adj) {
+	if n < 3 || 1<<uint(d+1)-1 != n || c.NumPairs() != n-1 {
 		return nil
 	}
 	// Root: the unique degree-2 vertex at distance d from every leaf;
 	// for d >= 1 the root has degree 2 and internal nodes degree 3.
 	var root = -1
-	for v, s := range adj {
-		if len(s) == 2 {
-			if height(adj, v, -1) == d+1 && balanced(adj, v, -1) {
-				root = v
-				break
-			}
+	for v := 0; v < n; v++ {
+		if c.Degree(v) == 2 && height(c, v, -1) == d+1 && balanced(c, v, -1) {
+			root = v
+			break
 		}
 	}
 	if root == -1 {
@@ -651,9 +565,9 @@ func detectCBTree(adj []map[int]bool) *Detection {
 		}
 		canon[v] = id
 		var kids []int
-		for u := range adj[v] {
-			if u != parent {
-				kids = append(kids, u)
+		for _, u := range c.Neighbors(v) {
+			if int(u) != parent {
+				kids = append(kids, int(u))
 			}
 		}
 		if len(kids) == 0 {
@@ -663,9 +577,6 @@ func detectCBTree(adj []map[int]bool) *Detection {
 			ok = false
 			return
 		}
-		// Map order decided which child became the left subtree, so the
-		// heap labeling differed between runs; sort for a stable Canon.
-		sort.Ints(kids)
 		label(kids[0], v, 2*id+1)
 		label(kids[1], v, 2*id+2)
 	}
@@ -676,11 +587,11 @@ func detectCBTree(adj []map[int]bool) *Detection {
 	return &Detection{Family: FamilyCBTree, Params: []int{d}, Canon: canon}
 }
 
-func height(adj []map[int]bool, v, parent int) int {
+func height(c *graph.CSR, v, parent int) int {
 	h := 0
-	for u := range adj[v] {
-		if u != parent {
-			if ch := height(adj, u, v); ch > h {
+	for _, u := range c.Neighbors(v) {
+		if int(u) != parent {
+			if ch := height(c, int(u), v); ch > h {
 				h = ch
 			}
 		}
@@ -688,14 +599,14 @@ func height(adj []map[int]bool, v, parent int) int {
 	return h + 1
 }
 
-func balanced(adj []map[int]bool, v, parent int) bool {
+func balanced(c *graph.CSR, v, parent int) bool {
 	var hs []int
-	for u := range adj[v] {
-		if u != parent {
-			if !balanced(adj, u, v) {
+	for _, u := range c.Neighbors(v) {
+		if int(u) != parent {
+			if !balanced(c, int(u), v) {
 				return false
 			}
-			hs = append(hs, height(adj, u, v))
+			hs = append(hs, height(c, int(u), v))
 		}
 	}
 	if len(hs) == 0 {

@@ -37,6 +37,9 @@ import (
 // forwarded again: the single-hop loop guard.
 const ForwardHeader = "X-Oregami-Forwarded"
 
+// forwardLimit bounds a forwarded response body.
+const forwardLimit = 64 << 20
+
 // Options tunes a Cluster. Zero values take the documented defaults.
 type Options struct {
 	// ProbeInterval is the steady-state cadence of peer /readyz probes
@@ -48,8 +51,6 @@ type Options struct {
 	// MaxProbeBackoff caps the probe backoff for a down peer
 	// (default 15s).
 	MaxProbeBackoff time.Duration
-	// ForwardLimit bounds a forwarded response body (default 64 MiB).
-	ForwardLimit int64
 	// HTTPClient overrides the forwarding transport; the default keeps
 	// idle connections to every peer.
 	HTTPClient *http.Client
@@ -67,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxProbeBackoff <= 0 {
 		o.MaxProbeBackoff = 15 * time.Second
-	}
-	if o.ForwardLimit <= 0 {
-		o.ForwardLimit = 64 << 20
 	}
 	if o.HTTPClient == nil {
 		o.HTTPClient = &http.Client{Transport: &http.Transport{
@@ -286,7 +284,7 @@ func (c *Cluster) Forward(ctx context.Context, owner, pathAndQuery string, body 
 		return nil, 0, fmt.Errorf("cluster: forward to %s: %w", owner, err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, c.opt.ForwardLimit))
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, forwardLimit))
 	if err != nil {
 		c.setUp(p, false)
 		return nil, 0, fmt.Errorf("cluster: read forward response from %s: %w", owner, err)

@@ -31,13 +31,14 @@ func KLRefine(g *graph.TaskGraph, part []int, maxSize, maxSweeps int) ([]int, in
 		}
 	}
 	// adjacency with weights for gain computation.
-	adj := g.Undirected()
-	// external[t][c] = total weight from t to cluster c.
+	adj := g.CSR()
+	// extTo(t, c) = total weight from t to cluster c.
 	extTo := func(t, c int) float64 {
 		total := 0.0
-		for _, nb := range adj[t] {
-			if part[nb.To] == c {
-				total += nb.Weight
+		ws := adj.RowWeights(t)
+		for i, u := range adj.Neighbors(t) {
+			if part[u] == c {
+				total += ws[i]
 			}
 		}
 		return total
@@ -74,13 +75,14 @@ func KLRefine(g *graph.TaskGraph, part []int, maxSize, maxSweeps int) ([]int, in
 		}
 		// Pairwise swaps (feasible regardless of size bounds).
 		for a := 0; a < n; a++ {
-			for _, nb := range adj[a] {
-				b := nb.To
+			ws := adj.RowWeights(a)
+			for i, nb := range adj.Neighbors(a) {
+				b := int(nb)
 				if b <= a || part[a] == part[b] {
 					continue
 				}
 				ca, cb := part[a], part[b]
-				gain := (extTo(a, cb) - extTo(a, ca)) + (extTo(b, ca) - extTo(b, cb)) - 2*weightBetween(adj, a, b)
+				gain := (extTo(a, cb) - extTo(a, ca)) + (extTo(b, ca) - extTo(b, cb)) - 2*ws[i]
 				if gain > 0 {
 					part[a], part[b] = cb, ca
 					moves++
@@ -93,13 +95,4 @@ func KLRefine(g *graph.TaskGraph, part []int, maxSize, maxSweeps int) ([]int, in
 		}
 	}
 	return part, moves
-}
-
-func weightBetween(adj [][]graph.WeightedNeighbor, a, b int) float64 {
-	for _, nb := range adj[a] {
-		if nb.To == b {
-			return nb.Weight
-		}
-	}
-	return 0
 }

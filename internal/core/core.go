@@ -49,6 +49,19 @@ const (
 	ClassBisect     Class = "recursive-bisection"
 )
 
+// ParseClass resolves a class name as every entry point accepts it: ""
+// and "auto" mean auto-dispatch (returned as ""), and each class name
+// above means itself.
+func ParseClass(s string) (Class, error) {
+	switch c := Class(s); c {
+	case "", "auto":
+		return "", nil
+	case ClassCanned, ClassSystolic, ClassGroup, ClassArbitrary, ClassMultilevel, ClassBisect:
+		return c, nil
+	}
+	return "", fmt.Errorf("core: unknown algorithm class %q (want canned, systolic, group-theoretic, arbitrary, multilevel, or recursive-bisection)", s)
+}
+
 // PipelineError is the typed failure of one MAPPER pipeline stage: panics
 // are contained and converted into it, and cancellation or deadline
 // expiry surfaces through it, so callers can tell which stage failed and

@@ -50,18 +50,6 @@ func (g *TaskGraph) BFSDistances(src int) []int {
 	return dist
 }
 
-// MaxDegree returns the maximum collapsed-graph degree over all tasks.
-func (g *TaskGraph) MaxDegree() int {
-	c := g.CSR()
-	max := 0
-	for v := 0; v < c.N; v++ {
-		if d := c.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // EdgeCut returns the total collapsed communication weight between tasks
 // assigned to different parts under the given partition (part[v] = part id
 // of task v). This is the "total IPC" objective of MWM-Contract.

@@ -219,23 +219,23 @@ func TestCSRMatchesMapReferee(t *testing.T) {
 	})
 }
 
+// TestUndirectedMatchesCSR checks the two flat views of the undirected
+// collapsed graph against each other: every CollapsedEntries pair sits
+// on both of its CSR rows with the same weight (the generator's integer
+// weights make the two accumulation orders agree exactly), and the CSR
+// holds no other pair.
 func TestUndirectedMatchesCSR(t *testing.T) {
 	gen.ForEachSeed(t, 40, func(t *testing.T, seed int64, r *rand.Rand) {
 		g := gen.TaskGraph(r, diffSize(r))
 		c := g.CSR()
-		und := g.Undirected()
-		if len(und) != g.NumTasks {
-			t.Fatalf("Undirected has %d rows for %d tasks", len(und), g.NumTasks)
+		entries := g.CollapsedEntries(1)
+		if c.NumPairs() != len(entries) {
+			t.Fatalf("CSR has %d pairs, CollapsedEntries %d", c.NumPairs(), len(entries))
 		}
-		for v := range und {
-			nbrs, ws := c.Neighbors(v), c.RowWeights(v)
-			if len(und[v]) != len(nbrs) {
-				t.Fatalf("task %d: Undirected row %d, CSR row %d", v, len(und[v]), len(nbrs))
-			}
-			for i, wn := range und[v] {
-				if wn.To != int(nbrs[i]) || !sameBits(wn.Weight, ws[i]) {
-					t.Fatalf("task %d slot %d: Undirected %+v, CSR (%d, %v)",
-						v, i, wn, nbrs[i], ws[i])
+		for _, e := range entries {
+			for _, end := range [][2]int{{e.A, e.B}, {e.B, e.A}} {
+				if w, ok := c.WeightBetween(end[0], end[1]); !ok || !sameBits(w, e.W) {
+					t.Fatalf("CSR row %d: pair %+v has weight %v (present=%v)", end[0], e, w, ok)
 				}
 			}
 		}

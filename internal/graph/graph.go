@@ -216,15 +216,6 @@ func (g *TaskGraph) NumEdges() int {
 	return n
 }
 
-// AllEdges returns every communication edge of every phase, in phase order.
-func (g *TaskGraph) AllEdges() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
-	for _, p := range g.Comm {
-		out = append(out, p.Edges...)
-	}
-	return out
-}
-
 // TotalVolume is the sum of all edge weights over all phases.
 func (g *TaskGraph) TotalVolume() float64 {
 	var v float64
@@ -335,29 +326,6 @@ func (g *TaskGraph) CollapsedEntries(workers int) []CollapsedEntry {
 	out := make([]CollapsedEntry, 0, len(ts))
 	foldTriples(ts, func(e CollapsedEntry) { out = append(out, e) })
 	return out
-}
-
-// Undirected returns the collapsed static graph as adjacency lists of
-// (neighbor, weight) pairs, one entry per unordered task pair, carved
-// from one backing array off the cached CSR.
-func (g *TaskGraph) Undirected() [][]WeightedNeighbor {
-	c := g.CSR()
-	adj := make([][]WeightedNeighbor, g.NumTasks)
-	backing := make([]WeightedNeighbor, len(c.Adj))
-	for v := 0; v < g.NumTasks; v++ {
-		row := backing[c.Off[v]:c.Off[v+1]:c.Off[v+1]]
-		for i, u := range c.Neighbors(v) {
-			row[i] = WeightedNeighbor{To: int(u), Weight: c.RowWeights(v)[i]}
-		}
-		adj[v] = row
-	}
-	return adj
-}
-
-// WeightedNeighbor is one endpoint of an undirected weighted edge.
-type WeightedNeighbor struct {
-	To     int
-	Weight float64
 }
 
 // Degree returns the number of distinct neighbors of task v in the

@@ -22,7 +22,6 @@ import "sync"
 // usable; GetScratch/Release recycle instances through a pool.
 type Scratch struct {
 	ints  reuse[int]
-	i32s  reuse[int32]
 	f64s  reuse[float64]
 	bools reuse[bool]
 }
@@ -66,7 +65,6 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // the arena to the pool. Borrowed slices must not be used afterwards.
 func (s *Scratch) Release() {
 	s.ints.reclaim()
-	s.i32s.reclaim()
 	s.f64s.reclaim()
 	s.bools.reclaim()
 	scratchPool.Put(s)
@@ -93,18 +91,6 @@ func (s *Scratch) IntsFill(n, v int) []int {
 // IntsCap borrows an empty []int with capacity at least n, for append
 // accumulation without growth reallocations.
 func (s *Scratch) IntsCap(n int) []int { return s.ints.get(n)[:0] }
-
-// Int32s borrows a zeroed []int32 of length n.
-func (s *Scratch) Int32s(n int) []int32 {
-	buf := s.i32s.get(n)
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// Int32sCap borrows an empty []int32 with capacity at least n.
-func (s *Scratch) Int32sCap(n int) []int32 { return s.i32s.get(n)[:0] }
 
 // Float64s borrows a zeroed []float64 of length n.
 func (s *Scratch) Float64s(n int) []float64 {

@@ -53,7 +53,7 @@ func coarsen(g *graph.TaskGraph, opt Options) ([]*level, error) {
 	target := opt.coarsenTarget()
 	maxVW := opt.maxVertexWeight(n)
 	mate := make([]int32, n)
-	for len(levels) < opt.maxLevels() {
+	for len(levels) < maxLevels {
 		cur := levels[len(levels)-1]
 		if cur.n <= target {
 			break

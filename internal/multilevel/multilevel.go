@@ -20,6 +20,10 @@ import (
 	"oregami/internal/topology"
 )
 
+// maxLevels caps the hierarchy depth; a graph that halves every level
+// is exhausted long before that.
+const maxLevels = 48
+
 // Options parameterizes the multilevel engine.
 type Options struct {
 	// Processors is the cluster budget (the live processor count).
@@ -37,9 +41,6 @@ type Options struct {
 	// blossom matching inside MWM-Contract, large enough that it has
 	// pairs to choose from).
 	CoarsenTo int
-	// MaxLevels caps the hierarchy depth (0 = 48; a graph that halves
-	// every level is exhausted long before that).
-	MaxLevels int
 	// RefinePasses is the number of greedy refinement sweeps per
 	// uncoarsening step (0 = 2). Each sweep visits every task once in
 	// index order, so refinement stays O(passes * |E|) per level.
@@ -62,13 +63,6 @@ func (o Options) coarsenTarget() int {
 		t = 64
 	}
 	return t
-}
-
-func (o Options) maxLevels() int {
-	if o.MaxLevels > 0 {
-		return o.MaxLevels
-	}
-	return 48
 }
 
 func (o Options) refinePasses() int {

@@ -58,7 +58,7 @@ func Build(m *mapping.Mapping) (*Schedule, error) {
 			slots = len(ts)
 		}
 	}
-	adj := m.Graph.Undirected()
+	adj := m.Graph.CSR()
 	slotOf := make([]int, n)
 	for i := range slotOf {
 		slotOf[i] = -1
@@ -84,9 +84,10 @@ func Build(m *mapping.Mapping) (*Schedule, error) {
 			// Prefer the slot where t's partners already sit, weighted
 			// by communication volume.
 			votes := make([]float64, slots)
-			for _, nb := range adj[t] {
-				if s := slotOf[nb.To]; s >= 0 {
-					votes[s] += nb.Weight
+			ws := adj.RowWeights(t)
+			for i, u := range adj.Neighbors(t) {
+				if s := slotOf[u]; s >= 0 {
+					votes[s] += ws[i]
 				}
 			}
 			best, bestV := -1, 0.0
@@ -133,10 +134,10 @@ func Build(m *mapping.Mapping) (*Schedule, error) {
 	return sched, nil
 }
 
-func weightOf(adj [][]graph.WeightedNeighbor, t int) float64 {
+func weightOf(adj *graph.CSR, t int) float64 {
 	var w float64
-	for _, nb := range adj[t] {
-		w += nb.Weight
+	for _, x := range adj.RowWeights(t) {
+		w += x
 	}
 	return w
 }

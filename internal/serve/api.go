@@ -269,20 +269,15 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 	r.net = net
 	if req.Options != nil {
 		r.opts = *req.Options
-		switch r.opts.Algo {
-		case "", "auto", string(core.ClassCanned), string(core.ClassSystolic),
-			string(core.ClassGroup), string(core.ClassArbitrary),
-			string(core.ClassMultilevel), string(core.ClassBisect):
-		default:
-			return nil, badRequest("options.algo %q is not a MAPPER class (canned|systolic|group-theoretic|arbitrary|multilevel|recursive-bisection)", r.opts.Algo)
+		// "auto" and "" are the same dispatcher behavior; ParseClass
+		// normalizes so they share one cache entry.
+		class, err := core.ParseClass(r.opts.Algo)
+		if err != nil {
+			return nil, badRequest("options.algo: %v", err)
 		}
+		r.opts.Algo = string(class)
 		if r.opts.Parallelism < 0 {
 			return nil, badRequest("options.parallelism must be >= 0 (0 = server budget), got %d", r.opts.Parallelism)
-		}
-		// "auto" and "" are the same dispatcher behavior; normalize so
-		// they share one cache entry.
-		if r.opts.Algo == "auto" {
-			r.opts.Algo = ""
 		}
 	}
 	// The effective budget is the server's per-request share of the

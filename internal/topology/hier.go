@@ -19,11 +19,11 @@ import (
 	"strings"
 )
 
-// hierMaxLevels bounds the hierarchy depth; hierMaxProcs bounds the
+// hierMaxDepth bounds the hierarchy depth; hierMaxProcs bounds the
 // total PE count (the all-pairs distance table would otherwise explode).
 const (
-	hierMaxLevels = 8
-	hierMaxProcs  = 1 << 20
+	hierMaxDepth = 8
+	hierMaxProcs = 1 << 20
 )
 
 // Hierarchy builds a hierarchical machine from per-level fanouts given
@@ -32,8 +32,8 @@ const (
 // Processor indices follow the hierarchy: the depth-d subtree containing
 // PE v spans the contiguous range [v - v%size(d), v - v%size(d) + size(d)).
 func Hierarchy(fanouts ...int) *Network {
-	if len(fanouts) < 2 || len(fanouts) > hierMaxLevels {
-		panic(fmt.Sprintf("topology: hier needs 2..%d levels, got %d", hierMaxLevels, len(fanouts)))
+	if len(fanouts) < 2 || len(fanouts) > hierMaxDepth {
+		panic(fmt.Sprintf("topology: hier needs 2..%d levels, got %d", hierMaxDepth, len(fanouts)))
 	}
 	n := 1
 	parts := make([]string, len(fanouts))

@@ -155,7 +155,7 @@ func TestHierTablesAtLimits(t *testing.T) {
 	} {
 		sizes := hierSizes(fanouts)
 		n := sizes[0]
-		if n > hierMaxProcs || len(fanouts) > hierMaxLevels {
+		if n > hierMaxProcs || len(fanouts) > hierMaxDepth {
 			t.Fatalf("hier%v exceeds the caps", fanouts)
 		}
 		nw := &Network{Kind: "hier", N: n, Dims: fanouts, hier: newHierTables(fanouts, sizes, n)}

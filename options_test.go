@@ -45,6 +45,7 @@ func TestNormalizeAcceptsValidOptions(t *testing.T) {
 		{Timeout: 2 * time.Second, StageTimeout: time.Second},
 		{StageTimeout: time.Second}, // no whole-pipeline bound: any stage bound is fine
 		{Force: "group-theoretic"},
+		{Force: "auto"}, // same as empty, as on the CLIs and the daemon
 	}
 	for _, opts := range valid {
 		if _, err := opts.Normalize(); err != nil {

@@ -160,10 +160,10 @@ func (c *Computation) DescriptionSize() int {
 type MapOptions struct {
 	// Force restricts the dispatcher to one algorithm class: "canned",
 	// "systolic", "group-theoretic", "arbitrary", "multilevel", or
-	// "recursive-bisection". Empty tries the first four in order; the
-	// last two — the scale mappers of internal/multilevel — only run
-	// when forced (they exist for task graphs far beyond what the exact
-	// pipeline contracts in one round, up to n=1e6; see
+	// "recursive-bisection". Empty or "auto" tries the first four in
+	// order; the last two — the scale mappers of internal/multilevel —
+	// only run when forced (they exist for task graphs far beyond what
+	// the exact pipeline contracts in one round, up to n=1e6; see
 	// docs/MULTILEVEL.md).
 	Force string
 	// MaxTasksPerProc is MWM-Contract's load-balance bound B (0 =
@@ -248,12 +248,11 @@ func (o *MapOptions) Normalize() (*MapOptions, error) {
 	if out.MaxTasksPerProc < 0 {
 		return nil, &OptionError{Option: "MaxTasksPerProc", Reason: fmt.Sprintf("must be >= 0 (0 = derive), got %d", out.MaxTasksPerProc)}
 	}
-	switch core.Class(out.Force) {
-	case "", core.ClassCanned, core.ClassSystolic, core.ClassGroup, core.ClassArbitrary,
-		core.ClassMultilevel, core.ClassBisect:
-	default:
-		return nil, &OptionError{Option: "Force", Reason: fmt.Sprintf("unknown algorithm class %q (want canned, systolic, group-theoretic, arbitrary, multilevel, or recursive-bisection)", out.Force)}
+	class, err := core.ParseClass(out.Force)
+	if err != nil {
+		return nil, &OptionError{Option: "Force", Reason: err.Error()}
 	}
+	out.Force = string(class)
 	return out, nil
 }
 
