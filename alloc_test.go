@@ -16,6 +16,7 @@ package oregami
 // non-race pass.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -259,6 +260,40 @@ func TestAllocBudgetDetect(t *testing.T) {
 			gate(t, "canned.Detect", tc.ceiling, func() {
 				if d := canned.Detect(tc.g); d == nil || d.Family != tc.family {
 					t.Fatalf("detected %v, want %s", d, tc.family)
+				}
+			})
+		})
+	}
+}
+
+// TestAllocBudgetGroupContract gates the group-theoretic contraction.
+// nbody n=35 into 35 clusters asks for a subgroup of order 1, which no
+// generator gives, so it takes the subgroup-lattice path; broadcast8
+// into 4 clusters is answered by a single generator's cyclic subgroup.
+// The string-keyed group cost 380,762 and 471 allocs/op on these two
+// cases; ceilings are ~1.5x the index-based counts (180 and 78).
+func TestAllocBudgetGroupContract(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		bindings map[string]int
+		clusters int
+		ceiling  float64
+	}{
+		{"nbody", map[string]int{"n": 35}, 35, 270},
+		{"broadcast8", nil, 4, 117},
+	} {
+		t.Run(tc.workload, func(t *testing.T) {
+			w, err := workload.ByName(tc.workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := w.Compile(tc.bindings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate(t, "contract.GroupContract", tc.ceiling, func() {
+				if _, _, err := contract.GroupContract(context.Background(), c.Graph, tc.clusters); err != nil {
+					t.Fatal(err)
 				}
 			})
 		})

@@ -6,6 +6,7 @@ package oregami
 // benchmarks measure the cost of regenerating them.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -52,7 +53,7 @@ func BenchmarkGroupContract(b *testing.B) {
 	c, _ := w.Compile(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := contract.GroupContract(c.Graph, 4); err != nil {
+		if _, _, err := contract.GroupContract(context.Background(), c.Graph, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

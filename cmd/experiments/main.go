@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -194,7 +195,7 @@ func runF4() {
 	for t, e := range byTask {
 		fmt.Printf("E%d = %-24s <-> task%d\n", t, e.String(), t)
 	}
-	part, info, err := contract.GroupContract(c.Graph, 4)
+	part, info, err := contract.GroupContract(context.Background(), c.Graph, 4)
 	must(err)
 	var subNames []string
 	for _, e := range info.Subgroup {

@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestGroupContractBroadcast8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, info, err := GroupContract(c.Graph, 4)
+	part, info, err := GroupContract(context.Background(), c.Graph, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestGroupContractNBody(t *testing.T) {
 		g.AddEdge(ring, i, (i+1)%16, 1)
 		g.AddEdge(chord, i, (i+8)%16, 1)
 	}
-	part, info, err := GroupContract(g, 4)
+	part, info, err := GroupContract(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestGroupContractRejectsNonBijection(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		g.AddEdge(p, 0, i, 1)
 	}
-	if _, _, err := GroupContract(g, 2); err == nil {
+	if _, _, err := GroupContract(context.Background(), g, 2); err == nil {
 		t.Error("non-bijective phase accepted")
 	}
 }
@@ -246,7 +247,7 @@ func TestGroupContractRejectsNonCayley(t *testing.T) {
 	g.AddEdge(p2, 2, 1, 1)
 	g.AddEdge(p2, 0, 0, 1)
 	g.AddEdge(p2, 3, 3, 1)
-	if _, _, err := GroupContract(g, 2); err == nil {
+	if _, _, err := GroupContract(context.Background(), g, 2); err == nil {
 		t.Error("non-Cayley graph accepted")
 	}
 }
@@ -254,7 +255,7 @@ func TestGroupContractRejectsNonCayley(t *testing.T) {
 func TestGroupContractBadDivisor(t *testing.T) {
 	w, _ := workload.ByName("broadcast8")
 	c, _ := w.Compile(nil)
-	if _, _, err := GroupContract(c.Graph, 3); err == nil {
+	if _, _, err := GroupContract(context.Background(), c.Graph, 3); err == nil {
 		t.Error("non-dividing cluster count accepted")
 	}
 }
@@ -266,7 +267,7 @@ func TestGroupContractMatMulTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, info, err := GroupContract(c.Graph, 4)
+	part, info, err := GroupContract(context.Background(), c.Graph, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestGroupContractMatMulTorus(t *testing.T) {
 func TestClusterGraphAfterGroupContract(t *testing.T) {
 	w, _ := workload.ByName("broadcast8")
 	c, _ := w.Compile(nil)
-	part, _, err := GroupContract(c.Graph, 4)
+	part, _, err := GroupContract(context.Background(), c.Graph, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestGroupContractDihedral(t *testing.T) {
 		g.AddEdge(pr, x, mulR(x), 1)
 		g.AddEdge(ps, x, mulS(x), 1)
 	}
-	part, info, err := GroupContract(g, 4)
+	part, info, err := GroupContract(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package contract_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -145,7 +146,7 @@ func TestGroupContractVsBruteForceOnCayley(t *testing.T) {
 		}
 		clusters := divisors[r.Intn(len(divisors))]
 
-		part, info, err := contract.GroupContract(g, clusters)
+		part, info, err := contract.GroupContract(context.Background(), g, clusters)
 		if err != nil {
 			t.Fatalf("GroupContract(%d tasks, %d clusters): %v", n, clusters, err)
 		}

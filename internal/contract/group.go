@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"context"
 	"fmt"
 
 	"oregami/internal/graph"
@@ -50,7 +51,8 @@ type GroupInfo struct {
 //     and its right cosets become the clusters.
 //
 // The returned partition has exactly `clusters` clusters of equal size.
-func GroupContract(g *graph.TaskGraph, clusters int) ([]int, *GroupInfo, error) {
+// The subgroup lattice walk stops with ctx's error once ctx is done.
+func GroupContract(ctx context.Context, g *graph.TaskGraph, clusters int) ([]int, *GroupInfo, error) {
 	n := g.NumTasks
 	if clusters < 1 || n%clusters != 0 {
 		return nil, nil, fmt.Errorf("contract: %d tasks do not divide evenly into %d clusters", n, clusters)
@@ -58,8 +60,7 @@ func GroupContract(g *graph.TaskGraph, clusters int) ([]int, *GroupInfo, error) 
 	if !g.IsNodeSymmetricCandidate() {
 		return nil, nil, fmt.Errorf("contract: some communication phase is not a bijection on tasks")
 	}
-	var gens []perm.Perm
-	genPhase := make(map[string]perm.Perm, len(g.Comm))
+	gens := make([]perm.Perm, 0, len(g.Comm))
 	for _, p := range g.Comm {
 		img, ok := g.PhasePermutation(p)
 		if !ok {
@@ -70,7 +71,6 @@ func GroupContract(g *graph.TaskGraph, clusters int) ([]int, *GroupInfo, error) 
 			return nil, nil, fmt.Errorf("contract: phase %q: %v", p.Name, err)
 		}
 		gens = append(gens, pm)
-		genPhase[p.Name] = pm
 	}
 	grp, ok := group.Generate(gens, n)
 	if !ok {
@@ -86,18 +86,21 @@ func GroupContract(g *graph.TaskGraph, clusters int) ([]int, *GroupInfo, error) 
 	// Preference 1: a subgroup generated by a single communication
 	// function (the paper's "quotient group arising directly from a
 	// generator with cycle-length l").
-	for _, p := range g.Comm {
-		gi := grp.IndexOf(genPhase[p.Name])
-		sub := grp.CyclicSubgroup(gi)
+	for i, p := range g.Comm {
+		sub := grp.CyclicSubgroup(grp.IndexOf(gens[i]))
 		if len(sub) == target {
 			info.Subgroup = sub
 			info.FromGenerator = p.Name
+			info.Normal = grp.IsNormal(sub)
 			break
 		}
 	}
 	// Preference 2: any subgroup of the right order, normal first.
 	if info.Subgroup == nil {
-		subs := grp.Subgroups(target)
+		subs, err := grp.Subgroups(ctx, target)
+		if err != nil {
+			return nil, nil, fmt.Errorf("contract: subgroup lattice walk: %w", err)
+		}
 		if len(subs) == 0 {
 			return nil, nil, fmt.Errorf("contract: group has no subgroup of order %d", target)
 		}
@@ -105,11 +108,11 @@ func GroupContract(g *graph.TaskGraph, clusters int) ([]int, *GroupInfo, error) 
 		for _, s := range subs {
 			if grp.IsNormal(s) {
 				info.Subgroup = s
+				info.Normal = true
 				break
 			}
 		}
 	}
-	info.Normal = grp.IsNormal(info.Subgroup)
 
 	// Cosets -> partition of tasks via the regular-action bijection.
 	cosetOf := grp.CosetIndexOfElements(info.Subgroup)
@@ -119,14 +122,15 @@ func GroupContract(g *graph.TaskGraph, clusters int) ([]int, *GroupInfo, error) 
 	}
 	// Renumber clusters densely by smallest task (cosets are already
 	// dense, but order them deterministically by first task).
-	part = renumber(part)
+	renumber(part)
 
 	// Count internalized messages per cluster per phase. For normal
 	// subgroups the Cayley structure makes this uniform, which we
 	// verify; non-normal quotients may vary (recorded as -1).
-	info.InternalizedPerCluster = make(map[string]int)
+	info.InternalizedPerCluster = make(map[string]int, len(g.Comm))
+	counts := make([]int, clusters)
 	for _, p := range g.Comm {
-		counts := make(map[int]int)
+		clear(counts)
 		for _, e := range p.Edges {
 			if part[e.From] == part[e.To] {
 				counts[part[e.From]]++
@@ -147,20 +151,19 @@ func GroupContract(g *graph.TaskGraph, clusters int) ([]int, *GroupInfo, error) 
 	return part, info, nil
 }
 
-// renumber maps cluster ids to dense ids ordered by each cluster's
-// smallest member.
-func renumber(part []int) []int {
-	out := make([]int, len(part))
+// renumber rewrites cluster ids in [0, len(part)) in place as dense ids
+// ordered by each cluster's smallest member.
+func renumber(part []int) {
+	id := make([]int, len(part))
+	for c := range id {
+		id[c] = -1
+	}
 	next := 0
-	id := make(map[int]int)
 	for t, c := range part {
-		d, ok := id[c]
-		if !ok {
-			d = next
-			id[c] = d
+		if id[c] == -1 {
+			id[c] = next
 			next++
 		}
-		out[t] = d
+		part[t] = id[c]
 	}
-	return out
 }

@@ -484,7 +484,7 @@ func mapGroup(ctx context.Context, req Request, res *Result, trail func(string, 
 		clusters = g.NumTasks
 	}
 	contractStart := time.Now()
-	part, info, err := contract.GroupContract(g, clusters)
+	part, info, err := contract.GroupContract(ctx, g, clusters)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 	"oregami/internal/larcs"
 	"oregami/internal/mapping"
 	"oregami/internal/topology"
+	"oregami/internal/workload"
 )
 
 // ringTaskGraph builds a bare n-task ring: one comm phase shifting to the
@@ -146,6 +147,35 @@ func TestMapCancelledMidContractionMWM(t *testing.T) {
 	wantPipelineError(t, err, string(ClassArbitrary), context.Canceled)
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("cancellation took %v, want prompt return", d)
+	}
+}
+
+// TestMapGroupLatticeWalkHonorsDeadline forces the group-theoretic
+// class onto fftn k=8: 256 tasks under Z2^8, where 8 clusters need a
+// subgroup of order 32 that no single phase generates. Walking the
+// elementary abelian group's subgroup lattice takes seconds, so the
+// request's deadline must stop the walk itself.
+func TestMapGroupLatticeWalkHonorsDeadline(t *testing.T) {
+	w, err := workload.ByName("fftn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := w.Compile(map[string]int{"k": 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline, slack = 100 * time.Millisecond, 400 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	res, err := Map(Request{Compiled: c, Net: topology.Hypercube(3), Force: ClassGroup, Ctx: ctx})
+	elapsed := time.Since(start)
+	if res != nil {
+		t.Fatal("expired lattice walk produced a result")
+	}
+	wantPipelineError(t, err, string(ClassGroup), context.DeadlineExceeded)
+	if elapsed > deadline+slack {
+		t.Errorf("Map returned after %v, want within %v of its %v deadline", elapsed, slack, deadline)
 	}
 }
 

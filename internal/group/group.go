@@ -4,9 +4,16 @@
 // graph is isomorphic to the task graph (regular action), enumerating
 // subgroups, and forming quotient Cayley graphs that contract the task
 // graph with perfectly balanced clusters.
+//
+// The algebra works on element indices. Under a regular action every
+// element is fixed by its image of task 0, so Mul is two slice loads
+// and no multiplication table is needed; other groups compose the two
+// permutations and look the product up by an exact key.
 package group
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -19,7 +26,11 @@ type Group struct {
 	Degree     int
 	Generators []perm.Perm
 	Elements   []perm.Perm
-	index      map[string]int
+	index      map[string]int // appendKey(element) -> element index
+	inv        []int
+	// elemOf[t] is the element mapping 0 to t. It is set only when G
+	// acts regularly, where that element is unique.
+	elemOf []int
 }
 
 // Generate computes the closure of the generators under composition using
@@ -40,27 +51,82 @@ func Generate(gens []perm.Perm, maxSize int) (*Group, bool) {
 	}
 	g := &Group{Degree: n, Generators: gens, index: make(map[string]int)}
 	id := perm.Identity(n)
+	key := appendKey(nil, id)
 	g.Elements = append(g.Elements, id)
-	g.index[id.Key()] = 0
-	queue := []perm.Perm{id}
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
+	g.index[string(key)] = 0
+	f := make(perm.Perm, n)
+	// Elements doubles as the BFS queue: each new element is appended
+	// once and expanded once, in discovery order.
+	for head := 0; head < len(g.Elements); head++ {
+		e := g.Elements[head]
 		for _, gen := range gens {
-			f := e.Compose(gen)
-			k := f.Key()
-			if _, ok := g.index[k]; ok {
+			for i, v := range e {
+				f[i] = gen[v] // e.Compose(gen)
+			}
+			key = appendKey(key[:0], f)
+			if _, ok := g.index[string(key)]; ok {
 				continue
 			}
 			if maxSize > 0 && len(g.Elements) >= maxSize {
 				return nil, false
 			}
-			g.index[k] = len(g.Elements)
+			g.index[string(key)] = len(g.Elements)
 			g.Elements = append(g.Elements, f)
-			queue = append(queue, f)
+			f = make(perm.Perm, n)
 		}
 	}
+	g.elemOf = regularIndex(g.Elements, n)
+	g.inv = make([]int, len(g.Elements))
+	for i, e := range g.Elements {
+		if g.elemOf != nil {
+			// e^-1 maps 0 to the point e sends to 0.
+			for x, v := range e {
+				if v == 0 {
+					g.inv[i] = g.elemOf[x]
+					break
+				}
+			}
+			continue
+		}
+		for x, v := range e {
+			f[v] = x
+		}
+		key = appendKey(key[:0], f)
+		g.inv[i] = g.index[string(key)]
+	}
 	return g, true
+}
+
+// regularIndex returns elemOf for a regular action, or nil. G of
+// degree n acts regularly iff |G| = n and the images of 0 are distinct:
+// then the orbit of 0 is everything and its stabilizer is trivial. This
+// is the paper's test (every element has cycles of one length) without
+// computing any cycles.
+func regularIndex(elems []perm.Perm, n int) []int {
+	if len(elems) != n {
+		return nil
+	}
+	elemOf := make([]int, n)
+	for t := range elemOf {
+		elemOf[t] = -1
+	}
+	for i, e := range elems {
+		if elemOf[e[0]] != -1 {
+			return nil
+		}
+		elemOf[e[0]] = i
+	}
+	return elemOf
+}
+
+// appendKey appends an exact encoding of p to b: every image as a
+// uvarint, which is prefix-free, so distinct permutations of one degree
+// never share a key.
+func appendKey(b []byte, p perm.Perm) []byte {
+	for _, v := range p {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	return b
 }
 
 // Order returns |G|.
@@ -68,37 +134,30 @@ func (g *Group) Order() int { return len(g.Elements) }
 
 // IndexOf returns the index of element p, or -1 if p is not in G.
 func (g *Group) IndexOf(p perm.Perm) int {
-	if i, ok := g.index[p.Key()]; ok {
+	if i, ok := g.index[string(appendKey(nil, p))]; ok {
 		return i
 	}
 	return -1
 }
 
 // Mul returns the index of Elements[i] * Elements[j] (left-to-right).
+// Under a regular action the product is the element sending 0 to
+// Elements[j][Elements[i][0]].
 func (g *Group) Mul(i, j int) int {
-	k := g.index[g.Elements[i].Compose(g.Elements[j]).Key()]
-	return k
+	if g.elemOf != nil {
+		return g.elemOf[g.Elements[j][g.Elements[i][0]]]
+	}
+	return g.index[string(appendKey(nil, g.Elements[i].Compose(g.Elements[j])))]
 }
 
 // Inv returns the index of Elements[i]^-1.
-func (g *Group) Inv(i int) int {
-	return g.index[g.Elements[i].Inverse().Key()]
-}
+func (g *Group) Inv(i int) int { return g.inv[i] }
 
 // ActsRegularly reports whether G acts regularly on {0..Degree-1}, the
 // paper's criterion for the Cayley graph CG being isomorphic to the task
-// graph T: |G| = |X| and every element has uniform cycle lengths.
-func (g *Group) ActsRegularly() bool {
-	if g.Order() != g.Degree {
-		return false
-	}
-	for _, e := range g.Elements {
-		if !e.HasUniformCycles() {
-			return false
-		}
-	}
-	return true
-}
+// graph T: |G| = |X| and every element has uniform cycle lengths
+// (equivalently, |G| = |X| and the images of 0 are distinct).
+func (g *Group) ActsRegularly() bool { return g.elemOf != nil }
 
 // TaskOfElement maps element index i to the task it corresponds to under
 // the regular-action bijection g <-> g(x) with x = 0 (the paper fixes x
@@ -107,9 +166,15 @@ func (g *Group) TaskOfElement(i int) int { return g.Elements[i][0] }
 
 // ElementOfTask inverts TaskOfElement; it requires a regular action.
 func (g *Group) ElementOfTask(t int) (int, error) {
-	for i, e := range g.Elements {
-		if e[0] == t {
-			return i, nil
+	if g.elemOf != nil {
+		if t >= 0 && t < len(g.elemOf) {
+			return g.elemOf[t], nil
+		}
+	} else {
+		for i, e := range g.Elements {
+			if e[0] == t {
+				return i, nil
+			}
 		}
 	}
 	return -1, fmt.Errorf("group: no element maps 0 to %d (action not transitive)", t)
@@ -118,108 +183,144 @@ func (g *Group) ElementOfTask(t int) (int, error) {
 // CyclicSubgroup returns the subgroup generated by element i, as a sorted
 // list of element indices.
 func (g *Group) CyclicSubgroup(i int) []int {
-	seen := map[int]bool{0: true}
 	sub := []int{0}
-	for cur := i; !seen[cur]; cur = g.Mul(cur, i) {
-		seen[cur] = true
+	for cur := i; cur != 0; cur = g.Mul(cur, i) {
 		sub = append(sub, cur)
 	}
 	sort.Ints(sub)
 	return sub
 }
 
-// closure returns the subgroup generated by the given element indices.
-func (g *Group) closure(seed []int) []int {
-	seen := map[int]bool{0: true}
-	queue := []int{0}
-	add := func(x int) {
-		if !seen[x] {
-			seen[x] = true
-			queue = append(queue, x)
+// subgroup is a node of the subgroup lattice walk: its elements, as a
+// sorted list and as a bitset, and the elements it was generated from.
+type subgroup struct {
+	elems []int
+	bits  bitset
+	gens  []int
+}
+
+// closure is the scratch state of one subgroup-generation BFS.
+type closure struct {
+	in    []bool
+	queue []int
+}
+
+// generate returns the elements of the subgroup generated by gens, in
+// discovery order, or ok=false as soon as it has more than limit
+// elements. Right-multiplying by the generators from the identity
+// reaches every product of them, which in a finite group is the whole
+// generated subgroup. The returned slice is scratch, valid until the
+// next call.
+func (c *closure) generate(g *Group, gens []int, limit int) (elems []int, ok bool) {
+	for _, x := range c.queue {
+		c.in[x] = false
+	}
+	c.queue = append(c.queue[:0], 0)
+	c.in[0] = true
+	for head := 0; head < len(c.queue); head++ {
+		a := c.queue[head]
+		for _, s := range gens {
+			if x := g.Mul(a, s); !c.in[x] {
+				if len(c.queue) == limit {
+					return nil, false
+				}
+				c.in[x] = true
+				c.queue = append(c.queue, x)
+			}
 		}
 	}
-	for _, s := range seed {
-		add(s)
-	}
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		for x := range seen {
-			add(g.Mul(a, x))
-			add(g.Mul(x, a))
-		}
-		add(g.Inv(a))
-	}
-	out := make([]int, 0, len(seen))
-	for x := range seen {
-		out = append(out, x)
-	}
-	sort.Ints(out)
-	return out
+	return c.queue, true
 }
 
 // Subgroups enumerates all subgroups of G of order exactly k (k must
 // divide |G|; otherwise the result is empty). Enumeration walks the
 // subgroup lattice by repeatedly extending known subgroups with one more
 // generator, which is feasible for the small groups that arise from task
-// graphs. Results are sorted element-index sets.
-func (g *Group) Subgroups(k int) [][]int {
-	if k < 1 || g.Order()%k != 0 {
-		return nil
+// graphs. Results are sorted element-index sets. The walk checks ctx
+// before extending each subgroup and returns ctx's error once it is
+// done; orders 1 and |G| are answered without walking.
+func (g *Group) Subgroups(ctx context.Context, k int) ([][]int, error) {
+	order := g.Order()
+	if k < 1 || order%k != 0 {
+		return nil, nil
 	}
-	seen := map[string]bool{}
-	var all [][]int
-	var frontier [][]int
-	trivial := []int{0}
-	seen[keyOf(trivial)] = true
-	all = append(all, trivial)
-	frontier = append(frontier, trivial)
-	for len(frontier) > 0 {
-		var next [][]int
+	if k == 1 {
+		return [][]int{{0}}, nil
+	}
+	if k == order {
+		all := make([]int, order)
+		for i := range all {
+			all[i] = i
+		}
+		return [][]int{all}, nil
+	}
+	c := &closure{in: make([]bool, order)}
+	trivial := subgroup{elems: []int{0}, bits: newBitset(order)}
+	trivial.bits.set(0)
+	seen := map[string]bool{string(trivial.bits): true}
+	key := newBitset(order)
+	tried := newBitset(order)
+	var out [][]int
+	for frontier := []subgroup{trivial}; len(frontier) > 0; {
+		var next []subgroup
 		for _, sub := range frontier {
-			for e := 1; e < g.Order(); e++ {
-				if contains(sub, e) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			copy(tried, sub.bits)
+			gens := append(sub.gens[:len(sub.gens):len(sub.gens)], 0)
+			for e := 1; e < order; e++ {
+				if tried.has(e) {
 					continue
 				}
-				ext := g.closure(append(append([]int(nil), sub...), e))
-				// Any subgroup of order k is generated entirely by its
-				// own elements, and every intermediate closure on the way
-				// is a subgroup of it, so pruning oversized closures
-				// keeps the enumeration complete.
-				if len(ext) > k {
+				// <H, e> = <H, he> = <H, eh> for every h in H, so the
+				// rest of He and eH need no closure of their own.
+				for _, h := range sub.elems {
+					tried.set(g.Mul(h, e))
+					tried.set(g.Mul(e, h))
+				}
+				gens[len(gens)-1] = e
+				elems, ok := c.generate(g, gens, k)
+				// A subgroup of order k contains only subgroups whose
+				// order divides k (Lagrange), and every intermediate
+				// closure on the way to it is one of them, so pruning
+				// the rest keeps the enumeration complete.
+				if !ok || k%len(elems) != 0 {
 					continue
 				}
-				ks := keyOf(ext)
-				if !seen[ks] {
-					seen[ks] = true
-					all = append(all, ext)
+				clear(key)
+				for _, x := range elems {
+					key.set(x)
+				}
+				if seen[string(key)] {
+					continue
+				}
+				ext := subgroup{elems: key.members(), bits: append(bitset(nil), key...), gens: append([]int(nil), gens...)}
+				seen[string(ext.bits)] = true
+				if len(ext.elems) == k {
+					out = append(out, ext.elems)
+				} else {
 					next = append(next, ext)
 				}
 			}
 		}
 		frontier = next
 	}
-	var out [][]int
-	for _, sub := range all {
-		if len(sub) == k {
-			out = append(out, sub)
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return lessIntSlice(out[i], out[j]) })
-	return out
+	return out, nil
 }
 
 // IsNormal reports whether the subgroup (given as element indices) is
 // normal in G: g^-1 h g in H for all g in G, h in H.
 func (g *Group) IsNormal(sub []int) bool {
-	inSub := make(map[int]bool, len(sub))
+	in := make([]bool, g.Order())
 	for _, h := range sub {
-		inSub[h] = true
+		in[h] = true
 	}
 	for e := 0; e < g.Order(); e++ {
 		inv := g.Inv(e)
 		for _, h := range sub {
-			if !inSub[g.Mul(g.Mul(inv, h), e)] {
+			if !in[g.Mul(g.Mul(inv, h), e)] {
 				return false
 			}
 		}
@@ -309,21 +410,24 @@ func IsPrimePower(m int) bool {
 	return true // m itself prime
 }
 
-func keyOf(s []int) string {
-	b := make([]byte, 0, len(s)*3)
-	for _, v := range s {
-		b = append(b, byte(v), byte(v>>8), ',')
-	}
-	return string(b)
-}
+// bitset is a set of element indices, also usable as a map key via
+// string(b).
+type bitset []byte
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
+func newBitset(n int) bitset { return make(bitset, (n+7)/8) }
+
+func (b bitset) set(i int)      { b[i>>3] |= 1 << (i & 7) }
+func (b bitset) has(i int) bool { return b[i>>3]&(1<<(i&7)) != 0 }
+
+// members returns the set's elements in ascending order.
+func (b bitset) members() []int {
+	var out []int
+	for i := 0; i < len(b)*8; i++ {
+		if b.has(i) {
+			out = append(out, i)
 		}
 	}
-	return false
+	return out
 }
 
 func lessIntSlice(a, b []int) bool {

@@ -1,6 +1,10 @@
 package group
 
 import (
+	"context"
+	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"oregami/internal/perm"
@@ -23,6 +27,16 @@ func broadcastGenerators(t *testing.T) []perm.Perm {
 		t.Fatal(err)
 	}
 	return []perm.Perm{comm1, comm2, comm3}
+}
+
+// subgroups is Subgroups without a deadline.
+func subgroups(t testing.TB, g *Group, k int) [][]int {
+	t.Helper()
+	subs, err := g.Subgroups(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return subs
 }
 
 func TestGenerateBroadcastGroup(t *testing.T) {
@@ -117,7 +131,7 @@ func TestSubgroupsOfZ8(t *testing.T) {
 	g, _ := Generate(broadcastGenerators(t), 8)
 	// Z8 has exactly one subgroup of each order 1, 2, 4, 8.
 	for _, tc := range []struct{ k, count int }{{1, 1}, {2, 1}, {4, 1}, {8, 1}, {3, 0}} {
-		subs := g.Subgroups(tc.k)
+		subs := subgroups(t, g, tc.k)
 		if len(subs) != tc.count {
 			t.Errorf("Z8 subgroups of order %d: %d, want %d", tc.k, len(subs), tc.count)
 		}
@@ -134,7 +148,7 @@ func TestSubgroupsOfS3(t *testing.T) {
 	b, _ := perm.ParseCycles("(012)", 3)
 	g, _ := Generate([]perm.Perm{a, b}, 0)
 	// S3: three subgroups of order 2 (not normal), one of order 3 (normal).
-	subs2 := g.Subgroups(2)
+	subs2 := subgroups(t, g, 2)
 	if len(subs2) != 3 {
 		t.Errorf("S3 subgroups of order 2: %d, want 3", len(subs2))
 	}
@@ -143,7 +157,7 @@ func TestSubgroupsOfS3(t *testing.T) {
 			t.Errorf("order-2 subgroup %v of S3 should not be normal", s)
 		}
 	}
-	subs3 := g.Subgroups(3)
+	subs3 := subgroups(t, g, 3)
 	if len(subs3) != 1 {
 		t.Fatalf("S3 subgroups of order 3: %d, want 1", len(subs3))
 	}
@@ -154,7 +168,7 @@ func TestSubgroupsOfS3(t *testing.T) {
 
 func TestRightCosetsPartition(t *testing.T) {
 	g, _ := Generate(broadcastGenerators(t), 8)
-	sub := g.Subgroups(2)[0]
+	sub := subgroups(t, g, 2)[0]
 	cosets := g.RightCosets(sub)
 	if len(cosets) != 4 {
 		t.Fatalf("got %d cosets, want 4", len(cosets))
@@ -186,7 +200,7 @@ func TestRightCosetsPartition(t *testing.T) {
 
 func TestQuotientEdgesNormal(t *testing.T) {
 	g, _ := Generate(broadcastGenerators(t), 8)
-	sub := g.Subgroups(2)[0] // {E0, E4}
+	sub := subgroups(t, g, 2)[0] // {E0, E4}
 	comm1, _ := perm.ParseCycles("(01234567)", 8)
 	gen := g.IndexOf(comm1)
 	edges, ok := g.QuotientEdges(sub, gen)
@@ -240,7 +254,7 @@ func TestSubgroupClosureProperty(t *testing.T) {
 	if g.Order() != 4 {
 		t.Fatalf("V4 order = %d", g.Order())
 	}
-	subs := g.Subgroups(2)
+	subs := subgroups(t, g, 2)
 	if len(subs) != 3 {
 		t.Fatalf("V4 has %d order-2 subgroups, want 3", len(subs))
 	}
@@ -250,10 +264,27 @@ func TestSubgroupClosureProperty(t *testing.T) {
 		}
 		for _, x := range s {
 			for _, y := range s {
-				if !contains(s, g.Mul(x, y)) {
+				if !slices.Contains(s, g.Mul(x, y)) {
 					t.Errorf("subgroup %v not closed", s)
 				}
 			}
 		}
+	}
+}
+
+// Subgroups answers orders 1 and |G| without walking, and a walk under
+// a cancelled context stops with the context's error.
+func TestSubgroupsShortcutsAndCancellation(t *testing.T) {
+	g, _ := Generate(broadcastGenerators(t), 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if subs, err := g.Subgroups(ctx, 1); err != nil || !reflect.DeepEqual(subs, [][]int{{0}}) {
+		t.Errorf("Subgroups(1) = %v, %v; want [[0]]", subs, err)
+	}
+	if subs, err := g.Subgroups(ctx, 8); err != nil || !reflect.DeepEqual(subs, [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}) {
+		t.Errorf("Subgroups(8) = %v, %v; want every element", subs, err)
+	}
+	if subs, err := g.Subgroups(ctx, 4); !errors.Is(err, context.Canceled) || subs != nil {
+		t.Errorf("Subgroups(4) under a cancelled context = %v, %v; want context.Canceled", subs, err)
 	}
 }

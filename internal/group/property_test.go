@@ -66,12 +66,12 @@ func TestLagrangeProperty(t *testing.T) {
 		order := g.Order()
 		for k := 1; k <= order && k <= 6; k++ {
 			if order%k != 0 {
-				if len(g.Subgroups(k)) != 0 {
+				if len(subgroups(t, g, k)) != 0 {
 					return false
 				}
 				continue
 			}
-			for _, sub := range g.Subgroups(k) {
+			for _, sub := range subgroups(t, g, k) {
 				cosets := g.RightCosets(sub)
 				if len(cosets) != order/k {
 					return false
@@ -151,7 +151,7 @@ func TestCosetsPartitionGroupOnGenerated(t *testing.T) {
 			if n%k != 0 {
 				continue
 			}
-			for _, sub := range grp.Subgroups(k) {
+			for _, sub := range subgroups(t, grp, k) {
 				if len(sub) != k {
 					t.Fatalf("Subgroups(%d) returned subgroup of size %d: %v", k, len(sub), sub)
 				}

@@ -84,15 +84,6 @@ func (p Perm) IsIdentity() bool {
 	return true
 }
 
-// Key returns a compact map key for p.
-func (p Perm) Key() string {
-	var b strings.Builder
-	for _, v := range p {
-		fmt.Fprintf(&b, "%d,", v)
-	}
-	return b.String()
-}
-
 // Cycles returns the cycle decomposition of p including fixed points,
 // each cycle starting at its smallest element, cycles ordered by first
 // element.

@@ -191,14 +191,6 @@ func TestOrderProperty(t *testing.T) {
 	}
 }
 
-func TestKeyDistinct(t *testing.T) {
-	a := Perm{1, 0, 2}
-	b := Perm{1, 2, 0}
-	if a.Key() == b.Key() {
-		t.Error("distinct perms share a key")
-	}
-}
-
 func TestIdentityString(t *testing.T) {
 	got := Identity(3).String()
 	if got != "(0)(1)(2)" {
