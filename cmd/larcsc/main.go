@@ -14,14 +14,11 @@
 //	larcsc vet -file prog.larcs [-json]                # static analysis only
 //	larcsc vet prog1.larcs prog2.larcs
 //	larcsc -vet -file prog.larcs -D n=15               # vet, then compile
-//	larcsc map -file prog.larcs -D n=15 -net hypercube:3 -check
 //
-// Map mode runs the full MAPPER pipeline onto a target network; with
-// -check the finished mapping must pass the post-condition oracle
-// (internal/check), and violations print as diagnostics.
+// Mapping a program onto a network is cmd/oregami's job.
 //
-// Exit codes: 0 clean, 1 program defects (parse/vet/compile errors,
-// oracle violations), 2 usage or I/O errors.
+// Exit codes: 0 clean, 1 program defects (parse/vet/compile errors),
+// 2 usage or I/O errors.
 package main
 
 import (
@@ -34,12 +31,9 @@ import (
 	"strings"
 
 	"oregami/internal/analysis"
-	"oregami/internal/check"
-	"oregami/internal/core"
 	"oregami/internal/graph"
 	"oregami/internal/larcs"
 	"oregami/internal/phase"
-	"oregami/internal/topology"
 	"oregami/internal/workload"
 )
 
@@ -84,8 +78,6 @@ func main() {
 	switch {
 	case len(args) > 0 && args[0] == "vet":
 		err = runVet(args[1:])
-	case len(args) > 0 && args[0] == "map":
-		err = runMap(args[1:])
 	default:
 		err = runCompile(args)
 	}
@@ -104,11 +96,11 @@ func main() {
 	}
 }
 
-// source is one named LaRCS input resolved from -file/-workload/args.
+// source is one named LaRCS input resolved from -file/-workload/args;
+// a file input is a Workload with only a Source.
 type source struct {
-	name     string
-	src      string
-	defaults map[string]int
+	name string
+	w    workload.Workload
 }
 
 func loadSources(file, wname string, extra []string) ([]source, error) {
@@ -118,25 +110,21 @@ func loadSources(file, wname string, extra []string) ([]source, error) {
 		if err != nil {
 			return nil, usageError{err}
 		}
-		out = append(out, source{name: file, src: string(data), defaults: map[string]int{}})
+		out = append(out, source{name: file, w: workload.Workload{Source: string(data)}})
 	}
 	if wname != "" {
 		w, err := workload.ByName(wname)
 		if err != nil {
 			return nil, usageError{err}
 		}
-		defaults := map[string]int{}
-		for k, v := range w.Defaults {
-			defaults[k] = v
-		}
-		out = append(out, source{name: "workload:" + w.Name, src: w.Source, defaults: defaults})
+		out = append(out, source{name: "workload:" + w.Name, w: w})
 	}
 	for _, f := range extra {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			return nil, usageError{err}
 		}
-		out = append(out, source{name: f, src: string(data), defaults: map[string]int{}})
+		out = append(out, source{name: f, w: workload.Workload{Source: string(data)}})
 	}
 	if len(out) == 0 {
 		return nil, usageError{fmt.Errorf("need -file, -workload, or file arguments (available workloads: %s)", workloadNames())}
@@ -159,7 +147,7 @@ func runVet(args []string) error {
 	}
 	defects := false
 	for _, s := range srcs {
-		diags := analysis.VetSource(s.src)
+		diags := analysis.VetSource(s.w.Source)
 		if analysis.HasErrors(diags) {
 			defects = true
 		}
@@ -176,76 +164,6 @@ func runVet(args []string) error {
 	}
 	if defects {
 		return errDefectsReported
-	}
-	return nil
-}
-
-// runMap compiles a program and runs the MAPPER pipeline onto a target
-// network, optionally gated by the post-condition oracle.
-func runMap(args []string) error {
-	fs := flag.NewFlagSet("larcsc map", flag.ContinueOnError)
-	file := fs.String("file", "", "LaRCS source file")
-	wname := fs.String("workload", "", "bundled workload name instead of -file")
-	netSpec := fs.String("net", "", "target network, e.g. hypercube:3 or mesh:4,4")
-	algo := fs.String("algo", "", "algorithm class to run: canned|systolic|group-theoretic|arbitrary|multilevel|recursive-bisection (empty = auto-dispatch)")
-	doCheck := fs.Bool("check", false, "verify the mapping with the post-condition oracle; violations exit 1")
-	parallel := fs.Int("parallel", 0, "worker budget for MAPPER's parallel hot paths (0 = all CPUs, 1 = sequential; result is identical at every setting)")
-	maxTasks := fs.Int("max-tasks", 0, "cap on the expanded task count (0 = default 1048576)")
-	maxEdges := fs.Int("max-edges", 0, "cap on the expanded edge count (0 = default 4194304)")
-	binds := bindings{}
-	fs.Var(binds, "D", "parameter binding name=value (repeatable)")
-	if err := fs.Parse(args); err != nil {
-		return usageError{err}
-	}
-	if fs.NArg() > 0 {
-		return usageError{fmt.Errorf("unexpected arguments %v", fs.Args())}
-	}
-	if *netSpec == "" {
-		return usageError{fmt.Errorf("map needs -net (e.g. -net hypercube:3)")}
-	}
-	if *parallel < 0 {
-		return usageError{fmt.Errorf("-parallel must be >= 0 (0 = all CPUs), got %d", *parallel)}
-	}
-	class, err := core.ParseClass(*algo)
-	if err != nil {
-		return usageError{err}
-	}
-	net, err := topology.ParseSpec(*netSpec)
-	if err != nil {
-		return usageError{err}
-	}
-	srcs, err := loadSources(*file, *wname, nil)
-	if err != nil {
-		return err
-	}
-	s := srcs[0]
-	for k, v := range binds {
-		s.defaults[k] = v
-	}
-	prog, err := larcs.Parse(s.src)
-	if err != nil {
-		return err
-	}
-	c, err := prog.Compile(s.defaults, larcs.Limits{MaxTasks: *maxTasks, MaxEdges: *maxEdges})
-	if err != nil {
-		return err
-	}
-	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: class, Check: *doCheck, Parallelism: *parallel})
-	if err != nil {
-		var pe *core.PipelineError
-		var ve *check.ViolationError
-		if errors.As(err, &pe) && errors.As(pe.Err, &ve) {
-			fmt.Print(check.Render(ve.Violations))
-			return errDefectsReported
-		}
-		return err
-	}
-	fmt.Printf("mapped %s onto %s via %s (class %s)\n", prog.Name, net.Name, res.Mapping.Method, res.Class)
-	for _, line := range res.Trail {
-		fmt.Printf("  %s\n", line)
-	}
-	if *doCheck {
-		fmt.Println("check: mapping verified, 0 violations")
 	}
 	return nil
 }
@@ -273,22 +191,20 @@ func runCompile(args []string) error {
 		return err
 	}
 	s := srcs[0]
-	for k, v := range binds {
-		s.defaults[k] = v
-	}
+	all := s.w.Bindings(binds)
 
 	if *vet {
-		diags := analysis.VetSource(s.src)
+		diags := analysis.VetSource(s.w.Source)
 		fmt.Fprint(os.Stderr, analysis.Render(s.name, diags))
 		if analysis.HasErrors(diags) {
 			return fmt.Errorf("vet found errors; not compiling")
 		}
 	}
-	prog, err := larcs.Parse(s.src)
+	prog, err := larcs.Parse(s.w.Source)
 	if err != nil {
 		return err
 	}
-	c, err := prog.Compile(s.defaults, larcs.Limits{MaxTasks: *maxTasks, MaxEdges: *maxEdges})
+	c, err := prog.Compile(all, larcs.Limits{MaxTasks: *maxTasks, MaxEdges: *maxEdges})
 	if err != nil {
 		return err
 	}
@@ -296,7 +212,7 @@ func runCompile(args []string) error {
 		fmt.Print(c.Graph.DOT())
 		return nil
 	}
-	fmt.Printf("algorithm %s with bindings %v\n", prog.Name, s.defaults)
+	fmt.Printf("algorithm %s with bindings %v\n", prog.Name, all)
 	fmt.Print(c.Graph.String())
 	if c.Phases != nil {
 		fmt.Printf("phase expression: %s\n", c.Phases)

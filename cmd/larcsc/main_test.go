@@ -86,7 +86,7 @@ func TestCLIErrors(t *testing.T) {
 		{"vet"},
 		{"vet", "-no-such-flag"},
 		{"vet", filepath.Join(t.TempDir(), "missing.larcs")},
-		{"map", "-workload", "jacobi", "-net", "hier:2,2,4", "-force", "arbitrary"}, // retired alias of -algo
+		{"map", "-workload", "jacobi", "-net", "hier:2,2,4"}, // retired subcommand: mapping is cmd/oregami's
 	} {
 		if code, out := exitCode(t, bin, args...); code != 2 {
 			t.Errorf("%v: exit %d, want 2\n%s", args, code, out)
@@ -205,27 +205,5 @@ func TestCLIExpansionLimits(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "edge limit 5") {
 		t.Errorf("limit error not surfaced:\n%s", out)
-	}
-}
-
-func TestCLIAlgo(t *testing.T) {
-	bin := buildCmd(t)
-	out, err := exec.Command(bin, "map", "-workload", "jacobi", "-net", "hier:2,2,4", "-algo", "recursive-bisection").CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "class recursive-bisection") {
-		t.Errorf("class missing:\n%s", out)
-	}
-	out, err = exec.Command(bin, "map", "-workload", "jacobi", "-net", "hier:2,2,4", "-algo", "multilevel").CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "class multilevel") {
-		t.Errorf("class missing:\n%s", out)
-	}
-	// An unknown class is a usage error, rejected before compiling.
-	if code, out := exitCode(t, bin, "map", "-workload", "nbody", "-net", "hypercube:3", "-algo", "bogus"); code != 2 {
-		t.Errorf("-algo bogus: exit %d, want 2\n%s", code, out)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -37,7 +38,6 @@ import (
 	"oregami/internal/larcs"
 	"oregami/internal/metrics"
 	"oregami/internal/phase"
-	"oregami/internal/route"
 	"oregami/internal/sim"
 	"oregami/internal/topology"
 	"oregami/internal/workload"
@@ -130,10 +130,6 @@ func run(out *os.File) error {
 	if *netSpec == "" {
 		return fmt.Errorf("need -net (e.g. -net hypercube:3)")
 	}
-	class, err := core.ParseClass(*algo)
-	if err != nil {
-		return err
-	}
 	net, err := topology.ParseSpec(*netSpec)
 	if err != nil {
 		return err
@@ -160,53 +156,42 @@ func run(out *os.File) error {
 		}
 	}
 
-	var src, srcName string
-	all := map[string]int{}
+	var w workload.Workload
+	var srcName string
 	switch {
 	case *file != "":
 		data, err := os.ReadFile(*file)
 		if err != nil {
 			return err
 		}
-		src = string(data)
+		w.Source = string(data)
 		srcName = *file
 	case *wname != "":
-		w, err := workload.ByName(*wname)
-		if err != nil {
+		if w, err = workload.ByName(*wname); err != nil {
 			return err
 		}
-		src = w.Source
 		srcName = "workload:" + w.Name
-		for k, v := range w.Defaults {
-			all[k] = v
-		}
 	default:
 		return fmt.Errorf("need -file or -workload")
 	}
-	for k, v := range binds {
-		all[k] = v
-	}
 	// Vet before compiling: warnings go to stderr and the pipeline
 	// continues; provable defects stop it before any expansion work.
-	diags := analysis.VetSource(src)
+	diags := analysis.VetSource(w.Source)
 	if len(diags) > 0 {
 		fmt.Fprint(os.Stderr, analysis.Render(srcName, diags))
 	}
 	if analysis.HasErrors(diags) {
 		return fmt.Errorf("%s has vet errors (see diagnostics above)", srcName)
 	}
-	prog, err := larcs.Parse(src)
+	prog, err := larcs.Parse(w.Source)
 	if err != nil {
 		return err
 	}
-	c, err := prog.Compile(all, larcs.Limits{MaxTasks: *maxTasks, MaxEdges: *maxEdges})
+	c, err := prog.Compile(w.Bindings(binds), larcs.Limits{MaxTasks: *maxTasks, MaxEdges: *maxEdges})
 	if err != nil {
 		return err
 	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0 (0 = all CPUs), got %d", *parallel)
-	}
-	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: class, Check: *doCheck, Parallelism: *parallel})
+	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: core.Class(*algo), Check: *doCheck, Parallelism: *parallel})
 	if err != nil {
 		return err
 	}
@@ -260,7 +245,7 @@ func run(out *os.File) error {
 }
 
 // metricsShell is the textual modify-and-recompute loop.
-func metricsShell(in *os.File, out *os.File, res *core.Result, c *larcs.Compiled) error {
+func metricsShell(in io.Reader, out io.Writer, res *core.Result, c *larcs.Compiled) error {
 	fmt.Fprintln(out, "metrics shell: commands are show | move <task> <proc> | check | sim | util | quit")
 	sc := bufio.NewScanner(in)
 	for {
@@ -293,21 +278,13 @@ func metricsShell(in *os.File, out *os.File, res *core.Result, c *larcs.Compiled
 				fmt.Fprintln(out, "usage: move <task> <proc>")
 				continue
 			}
-			if err := metrics.ReassignTask(res.Mapping, task, proc); err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			if _, err := route.RouteAll(res.Mapping, route.Options{}); err != nil {
+			if err := metrics.MoveTask(res.Mapping, task, proc); err != nil {
 				fmt.Fprintln(out, "error:", err)
 				continue
 			}
 			fmt.Fprintf(out, "moved task %d to processor %d; routes recomputed\n", task, proc)
 		case "check":
-			rep, err := metrics.Compute(res.Mapping)
-			if err != nil {
-				rep = nil
-			}
-			if vs := check.Verify(c.Graph, res.Mapping.Net, res.Mapping, rep); len(vs) > 0 {
+			if vs := check.Run(c.Graph, res.Mapping.Net, res.Mapping, 1); len(vs) > 0 {
 				fmt.Fprint(out, check.Render(vs))
 			} else {
 				fmt.Fprintln(out, "check: mapping verified, 0 violations")

@@ -2,14 +2,22 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"oregami/internal/core"
+	"oregami/internal/topology"
+	"oregami/internal/workload"
 )
 
 func buildCmd(t *testing.T) string {
@@ -69,10 +77,12 @@ func TestCLIErrors(t *testing.T) {
 		{},
 		{"-workload", "nbody"},                  // no net
 		{"-workload", "nbody", "-net", "bogus"}, // bad net syntax
-		{"-workload", "nbody", "-net", "nosuch:3"},                      // unknown family
-		{"-workload", "zzz", "-net", "hypercube:3"},                     // unknown workload
-		{"-workload", "nbody", "-net", "mesh:2,2", "-algo", "systolic"}, // inapplicable class
-		{"-workload", "nbody", "-net", "hypercube:3", "extra"},          // stray positional argument
+		{"-workload", "nbody", "-net", "nosuch:3"},                       // unknown family
+		{"-workload", "zzz", "-net", "hypercube:3"},                      // unknown workload
+		{"-workload", "nbody", "-net", "mesh:2,2", "-algo", "systolic"},  // inapplicable class
+		{"-workload", "nbody", "-net", "hypercube:3", "extra"},           // stray positional argument
+		{"-workload", "nbody", "-net", "hypercube:3", "-algo", "bogus"},  // unknown class
+		{"-workload", "nbody", "-net", "hypercube:3", "-parallel", "-1"}, // negative worker budget
 	} {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 			t.Errorf("args %v accepted:\n%s", args, out)
@@ -250,21 +260,109 @@ func TestCLIDot(t *testing.T) {
 
 func TestCLIAlgoMultilevel(t *testing.T) {
 	bin := buildCmd(t)
-	out, err := exec.Command(bin, "-workload", "nbody", "-net", "hier:2,2,4", "-algo", "multilevel", "-sim=false", "-check").CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-workload", "nbody", "-net", "hier:2,2,4", "-algo", "multilevel", "-check"},
+			[]string{"MAPPER class: multilevel", "refine moves", "check: mapping verified"}},
+		{[]string{"-workload", "jacobi", "-net", "hier:4,4", "-algo", "recursive-bisection"},
+			[]string{"MAPPER class: recursive-bisection"}},
+		{[]string{"-workload", "jacobi", "-net", "hier:2,2,4", "-algo", "recursive-bisection"},
+			[]string{"MAPPER class: recursive-bisection"}},
+		{[]string{"-workload", "jacobi", "-net", "hier:2,2,4", "-algo", "multilevel"},
+			[]string{"MAPPER class: multilevel"}},
 	}
-	s := string(out)
-	for _, want := range []string{"MAPPER class: multilevel", "refine moves", "check: mapping verified"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
+	for _, tc := range cases {
+		out, err := exec.Command(bin, append(tc.args, "-sim=false")...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("%v: output missing %q:\n%s", tc.args, want, out)
+			}
 		}
 	}
-	out, err = exec.Command(bin, "-workload", "jacobi", "-net", "hier:4,4", "-algo", "recursive-bisection", "-sim=false").CombinedOutput()
+}
+
+// TestShellMoveRollsBackOnRouteFailure drives the shell's move on a
+// machine split in two (nbody n=6 on ring(6) with processors 1 and 4
+// masked behind the mapping's back): the reroute fails, so the shell
+// must report the error and leave Part, Place and Routes as they were.
+func TestShellMoveRollsBackOnRouteFailure(t *testing.T) {
+	w, _ := workload.ByName("nbody")
+	c, err := w.Compile(map[string]int{"n": 6, "s": 1})
 	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "MAPPER class: recursive-bisection") {
-		t.Errorf("baseline class missing:\n%s", out)
+	net := topology.Ring(6)
+	res, err := core.Map(core.Request{Compiled: c, Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Mapping
+	if m.Net, err = net.Masked([]int{1, 4}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Clone()
+	target := -1
+	for p := 0; p < 6 && target == -1; p++ {
+		if m.Net.Alive(p) && m.ProcOf(0) != p {
+			target = p
+		}
+	}
+	var out strings.Builder
+	in := strings.NewReader(fmt.Sprintf("move 0 %d\nquit\n", target))
+	if err := metricsShell(in, &out, res, c); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "error:") || strings.Contains(out.String(), "moved task") {
+		t.Errorf("move on a split machine did not report an error:\n%s", out.String())
+	}
+	if !reflect.DeepEqual(m.Part, before.Part) || !reflect.DeepEqual(m.Place, before.Place) {
+		t.Errorf("failed move changed the mapping: Part %v Place %v, want %v %v", m.Part, m.Place, before.Part, before.Place)
+	}
+	if !reflect.DeepEqual(m.Routes, before.Routes) {
+		t.Errorf("failed move changed the routes")
+	}
+}
+
+// TestServeFlagsDocumented keeps docs/SERVE.md's "Starting the server"
+// block in step with the flags `oregami serve -h` prints.
+func TestServeFlagsDocumented(t *testing.T) {
+	bin := buildCmd(t)
+	help, _ := exec.Command(bin, "serve", "-h").CombinedOutput()
+	var have []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(string(help), -1) {
+		have = append(have, m[1])
+	}
+	doc, err := os.ReadFile("../../docs/SERVE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "## Starting the server")
+	if !ok {
+		t.Fatal("docs/SERVE.md has no \"Starting the server\" section")
+	}
+	parts := strings.SplitN(section, "```", 3)
+	if len(parts) < 3 {
+		t.Fatal("\"Starting the server\" has no fenced block")
+	}
+	// A flag line starts at column 0 and may name several flags:
+	// "-max-tasks, -max-edges ...".
+	flagLine := regexp.MustCompile(`^-[a-z-]+(?:, -[a-z-]+)*`)
+	var documented []string
+	for _, line := range strings.Split(parts[1], "\n") {
+		for _, name := range strings.Split(flagLine.FindString(line), ", ") {
+			if name != "" {
+				documented = append(documented, strings.TrimPrefix(name, "-"))
+			}
+		}
+	}
+	sort.Strings(have)
+	sort.Strings(documented)
+	if len(have) == 0 || !reflect.DeepEqual(have, documented) {
+		t.Errorf("serve flags differ from docs/SERVE.md:\n  -h:   %v\n  docs: %v", have, documented)
 	}
 }

@@ -29,8 +29,7 @@ func runServe(args []string, out *os.File) error {
 	drain := fs.Duration("drain", 0, "graceful shutdown budget (0 = default 10s)")
 	maxTasks := fs.Int("max-tasks", 0, "cap on the expanded task count (0 = default 1048576)")
 	maxEdges := fs.Int("max-edges", 0, "cap on the expanded edge count (0 = default 4194304)")
-	persist := fs.Bool("persist", false, "persist cached mappings to disk and reload them at boot (implied by -state-dir)")
-	stateDir := fs.String("state-dir", "", "directory for the persistent store (default oregami.state when -persist is set)")
+	stateDir := fs.String("state-dir", "", "persist cached mappings in this directory and reload them at boot (empty = no persistence)")
 	storeBytes := fs.Int64("store-bytes", 0, "on-disk store budget in bytes; oldest segments drop first (0 = default 256MiB)")
 	nodeID := fs.String("node-id", "", "this node's id in a cluster (required with -peers)")
 	peersSpec := fs.String("peers", "", "static cluster membership id=host:port,... including this node; enables consistent-hash sharding and miss proxying")
@@ -67,7 +66,6 @@ func runServe(args []string, out *os.File) error {
 		DrainTimeout:   *drain,
 		MaxTasks:       *maxTasks,
 		MaxEdges:       *maxEdges,
-		Persist:        *persist,
 		StateDir:       *stateDir,
 		StoreBytes:     *storeBytes,
 		NodeID:         *nodeID,

@@ -152,9 +152,21 @@ func VerifyMetrics(desc *graph.TaskGraph, net *topology.Network, m *mapping.Mapp
 	return vs
 }
 
+// Run is the post-condition oracle as every front door runs it: METRICS
+// computed from the mapping with up to workers goroutines
+// (metrics.ComputeN), then Verify. A mapping METRICS cannot read (not
+// contracted or embedded) is judged on its structure alone. core.Map
+// runs it behind Request.Check.
+func Run(desc *graph.TaskGraph, net *topology.Network, m *mapping.Mapping, workers int) []Violation {
+	rep, err := metrics.ComputeN(m, workers)
+	if err != nil {
+		rep = nil // the structural violations explain why
+	}
+	return Verify(desc, net, m, rep)
+}
+
 // Verify runs the full oracle: structural post-conditions, and — when a
-// report is supplied — metrics recomputation. It is what core.Map runs
-// behind Request.Check.
+// report is supplied — metrics recomputation.
 func Verify(desc *graph.TaskGraph, net *topology.Network, m *mapping.Mapping, rep *metrics.Report) []Violation {
 	vs := VerifyMapping(desc, net, m)
 	if rep != nil {

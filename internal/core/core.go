@@ -23,7 +23,6 @@ import (
 	"oregami/internal/graph"
 	"oregami/internal/larcs"
 	"oregami/internal/mapping"
-	"oregami/internal/metrics"
 	"oregami/internal/multilevel"
 	"oregami/internal/route"
 	"oregami/internal/systolic"
@@ -51,16 +50,27 @@ const (
 
 // ParseClass resolves a class name as every entry point accepts it: ""
 // and "auto" mean auto-dispatch (returned as ""), and each class name
-// above means itself.
-func ParseClass(s string) (Class, error) {
+// above means itself. It reports false for any other name.
+func ParseClass(s string) (Class, bool) {
 	switch c := Class(s); c {
 	case "", "auto":
-		return "", nil
+		return "", true
 	case ClassCanned, ClassSystolic, ClassGroup, ClassArbitrary, ClassMultilevel, ClassBisect:
-		return c, nil
+		return c, true
 	}
-	return "", fmt.Errorf("core: unknown algorithm class %q (want canned, systolic, group-theoretic, arbitrary, multilevel, or recursive-bisection)", s)
+	return "", false
 }
+
+// FieldError reports a Request field that Validate rejected. Field is
+// the field's Go name ("Force", "Parallelism", "MaxTasksPerProc" or
+// "StageTimeout"); each front door translates it into its own spelling
+// of the option.
+type FieldError struct {
+	Field  string
+	Reason string
+}
+
+func (e *FieldError) Error() string { return fmt.Sprintf("core: invalid %s: %s", e.Field, e.Reason) }
 
 // PipelineError is the typed failure of one MAPPER pipeline stage: panics
 // are contained and converted into it, and cancellation or deadline
@@ -143,6 +153,29 @@ type Request struct {
 	Observe func(stage string, d time.Duration)
 }
 
+// Validate is the one option check behind every front door: Force must
+// name a class ParseClass accepts, and Parallelism, MaxTasksPerProc and
+// StageTimeout must not be negative. It resolves Force in place, so
+// "auto" becomes "". Map runs it first; a caller that must reject a
+// request before other work (mapd derives its cache key) runs it
+// itself. Every error is a *FieldError.
+func (req *Request) Validate() error {
+	class, ok := ParseClass(string(req.Force))
+	if !ok {
+		return &FieldError{Field: "Force", Reason: fmt.Sprintf("unknown algorithm class %q (want canned, systolic, group-theoretic, arbitrary, multilevel, or recursive-bisection)", req.Force)}
+	}
+	req.Force = class
+	switch {
+	case req.Parallelism < 0:
+		return &FieldError{Field: "Parallelism", Reason: fmt.Sprintf("must be >= 0 (0 = all CPUs), got %d", req.Parallelism)}
+	case req.MaxTasksPerProc < 0:
+		return &FieldError{Field: "MaxTasksPerProc", Reason: fmt.Sprintf("must be >= 0 (0 = derive), got %d", req.MaxTasksPerProc)}
+	case req.StageTimeout < 0:
+		return &FieldError{Field: "StageTimeout", Reason: fmt.Sprintf("must be >= 0, got %v", req.StageTimeout)}
+	}
+	return nil
+}
+
 // observe reports one completed stage to the Observe hook, if any.
 func (req *Request) observe(stage string, start time.Time) {
 	if req.Observe != nil {
@@ -194,12 +227,16 @@ func safeStage(stage string, fn func() (*mapping.Mapping, error)) (m *mapping.Ma
 	return fn()
 }
 
-// Map runs the dispatcher. Cancellation, deadline expiry, and contained
-// panics return a *PipelineError naming the failed stage; all other
-// per-class failures degrade down the try order (the degradation ladder:
-// systolic -> canned -> group-theoretic -> arbitrary -> greedy/Stone),
-// with every downgrade recorded in the Trail.
+// Map runs the dispatcher after Validate, whose *FieldError it returns
+// as is. Cancellation, deadline expiry, and contained panics return a
+// *PipelineError naming the failed stage; all other per-class failures
+// degrade down the try order (the degradation ladder: systolic ->
+// canned -> group-theoretic -> arbitrary -> greedy/Stone), with every
+// downgrade recorded in the Trail.
 func Map(req Request) (*Result, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
 	ctx := req.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -227,7 +264,7 @@ func Map(req Request) (*Result, error) {
 	// for a mesh or linear array, and is the most specialized method;
 	// then canned lookups, group theory, and the general fallback.
 	tryOrder := []Class{ClassSystolic, ClassCanned, ClassGroup, ClassArbitrary}
-	if req.Force != "" && req.Force != "auto" {
+	if req.Force != "" {
 		tryOrder = []Class{req.Force}
 	}
 	var lastErr error
@@ -294,11 +331,7 @@ func Map(req Request) (*Result, error) {
 		}
 		if req.Check {
 			checkStart := time.Now()
-			rep, merr := metrics.ComputeN(m, req.Parallelism)
-			if merr != nil {
-				return nil, &PipelineError{Stage: "check", Err: merr}
-			}
-			if vs := check.Verify(g, req.Net, m, rep); len(vs) > 0 {
+			if vs := check.Run(g, req.Net, m, req.Parallelism); len(vs) > 0 {
 				return nil, &PipelineError{Stage: "check", Err: &check.ViolationError{Violations: vs}}
 			}
 			req.observe("check", checkStart)
@@ -679,21 +712,9 @@ func safeContract(fn func() ([]int, error)) (part []int, err error) {
 
 // MapGraph is a convenience for callers with a bare task graph and no
 // LaRCS program (e.g. benchmarks): it wraps the graph in a minimal
-// compiled form and dispatches without the systolic branch.
+// compiled form and runs Map. Without a program there is no recurrence,
+// so auto-dispatch's systolic attempt always declines.
 func MapGraph(g *graph.TaskGraph, net *topology.Network, force Class) (*Result, error) {
-	prog := &larcs.Program{Name: g.Name}
-	comp := &larcs.Compiled{Program: prog, Graph: g}
-	req := Request{Compiled: comp, Net: net, Force: force}
-	if force == "" || force == "auto" {
-		res, err := Map(Request{Compiled: comp, Net: net, Force: ClassCanned})
-		if err == nil {
-			return res, nil
-		}
-		res, err = Map(Request{Compiled: comp, Net: net, Force: ClassGroup})
-		if err == nil {
-			return res, nil
-		}
-		return Map(Request{Compiled: comp, Net: net, Force: ClassArbitrary})
-	}
-	return Map(req)
+	comp := &larcs.Compiled{Program: &larcs.Program{Name: g.Name}, Graph: g}
+	return Map(Request{Compiled: comp, Net: net, Force: force})
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"oregami/internal/graph"
 	"oregami/internal/larcs"
@@ -203,6 +205,20 @@ func TestMapErrors(t *testing.T) {
 	c2.Graph = g
 	if _, err := Map(Request{Compiled: &c2, Net: topology.Ring(4)}); err == nil {
 		t.Error("empty graph accepted")
+	}
+	// Map runs Validate first: every invalid option is a *FieldError
+	// naming the field, whatever else is wrong with the request.
+	for field, req := range map[string]Request{
+		"Force":           {Compiled: c, Net: topology.Ring(4), Force: "quantum"},
+		"Parallelism":     {Compiled: c, Net: topology.Ring(4), Parallelism: -1},
+		"MaxTasksPerProc": {Compiled: c, Net: topology.Ring(4), MaxTasksPerProc: -5},
+		"StageTimeout":    {StageTimeout: -time.Millisecond},
+	} {
+		_, err := Map(req)
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != field {
+			t.Errorf("invalid %s: got %v, want *FieldError on %s", field, err, field)
+		}
 	}
 }
 

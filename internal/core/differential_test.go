@@ -10,7 +10,6 @@ import (
 	"oregami/internal/gen"
 	"oregami/internal/graph"
 	"oregami/internal/larcs"
-	"oregami/internal/metrics"
 	"oregami/internal/topology"
 )
 
@@ -47,11 +46,7 @@ func TestPipelineOracleOnRandomInstances(t *testing.T) {
 		if res == nil {
 			t.Skip("pipeline reported a typed infeasibility")
 		}
-		rep, err := metrics.Compute(res.Mapping)
-		if err != nil {
-			t.Fatalf("metrics on accepted mapping: %v", err)
-		}
-		if vs := check.Verify(g, net, res.Mapping, rep); len(vs) > 0 {
+		if vs := check.Run(g, net, res.Mapping, 1); len(vs) > 0 {
 			t.Fatalf("oracle violations on accepted mapping:\n%s", check.Render(vs))
 		}
 	})
@@ -69,11 +64,7 @@ func TestPipelineOracleUnderFaultInjection(t *testing.T) {
 		if res == nil {
 			t.Skipf("typed infeasibility with %d procs / %d links failed", len(procs), len(links))
 		}
-		rep, err := metrics.Compute(res.Mapping)
-		if err != nil {
-			t.Fatalf("metrics on accepted mapping: %v", err)
-		}
-		if vs := check.Verify(g, masked, res.Mapping, rep); len(vs) > 0 {
+		if vs := check.Run(g, masked, res.Mapping, 1); len(vs) > 0 {
 			t.Fatalf("oracle violations on degraded machine (failed procs %v, links %v):\n%s",
 				procs, links, check.Render(vs))
 		}

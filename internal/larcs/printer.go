@@ -158,19 +158,6 @@ func formatPExpr(e PExpr, level int) string {
 	}
 }
 
-// Canonical parses src and renders it back through Format: two sources
-// that differ only in layout, comments, or declaration order collapse to
-// the same canonical text. The mapping service uses this as the program
-// component of its content-addressed cache key, so equivalent programs
-// share one cache entry.
-func Canonical(src string) (string, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return "", err
-	}
-	return Format(prog), nil
-}
-
 // formatCount prints a repetition count in the restricted syntax
 // parsePCount accepts: a bare nonnegative number, a bare identifier, or
 // a parenthesized expression.

@@ -14,6 +14,7 @@ import (
 
 	"oregami/internal/mapping"
 	"oregami/internal/par"
+	"oregami/internal/route"
 	"oregami/internal/topology"
 )
 
@@ -161,7 +162,7 @@ func ComputeN(m *mapping.Mapping, workers int) (*Report, error) {
 // processor, creating a fresh cluster there if the processor is empty.
 // Routes touching the task's phases are invalidated (cleared); callers
 // re-run the router and Compute afterwards, mirroring the paper's
-// recompute-on-modify loop.
+// recompute-on-modify loop. MoveTask is the move plus the reroute.
 func ReassignTask(m *mapping.Mapping, task, proc int) error {
 	if task < 0 || task >= m.Graph.NumTasks {
 		return fmt.Errorf("metrics: task %d out of range", task)
@@ -216,6 +217,23 @@ func ReassignTask(m *mapping.Mapping, task, proc int) error {
 	}
 	// Invalidate routes.
 	m.Routes = make(map[string][]topology.Route)
+	return nil
+}
+
+// MoveTask is one step of the modify-and-recompute loop: it reassigns
+// task to proc (ReassignTask) and reroutes every phase with MM-Route.
+// The move is atomic: when rerouting fails (e.g. the target is
+// unreachable on a degraded machine), Part, Place and Routes roll back
+// to their state before the call.
+func MoveTask(m *mapping.Mapping, task, proc int) error {
+	snap := m.Clone()
+	if err := ReassignTask(m, task, proc); err != nil {
+		return err
+	}
+	if _, err := route.RouteAll(m, route.Options{}); err != nil {
+		m.Part, m.Place, m.Routes = snap.Part, snap.Place, snap.Routes
+		return fmt.Errorf("metrics: moving task %d to processor %d: %w (mapping unchanged)", task, proc, err)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package metrics_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -218,5 +219,45 @@ func TestDOTOutput(t *testing.T) {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT missing %q", want)
 		}
+	}
+}
+
+// TestMoveTaskRollsBackOnRouteFailure moves a task on a machine split in
+// two (nbody n=6 on ring(6) with processors 1 and 4 masked behind the
+// mapping's back): the reroute cannot succeed, so MoveTask must fail and
+// leave Part, Place and Routes as they were.
+func TestMoveTaskRollsBackOnRouteFailure(t *testing.T) {
+	w, _ := workload.ByName("nbody")
+	c, err := w.Compile(map[string]int{"n": 6, "s": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := topology.Ring(6)
+	res, err := core.Map(core.Request{Compiled: c, Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Mapping
+	if m.Net, err = net.Masked([]int{1, 4}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Clone()
+	target := -1
+	for p := 0; p < 6 && target == -1; p++ {
+		if m.Net.Alive(p) && m.ProcOf(0) != p {
+			target = p
+		}
+	}
+	if err := metrics.ReassignTask(m.Clone(), 0, target); err != nil {
+		t.Fatalf("the move itself must be legal, only its reroute may fail: %v", err)
+	}
+	if err := metrics.MoveTask(m, 0, target); err == nil {
+		t.Fatalf("move of task 0 to processor %d on a split machine accepted", target)
+	}
+	if !reflect.DeepEqual(m.Part, before.Part) || !reflect.DeepEqual(m.Place, before.Place) {
+		t.Errorf("failed move changed the mapping: Part %v Place %v, want %v %v", m.Part, m.Place, before.Part, before.Place)
+	}
+	if !reflect.DeepEqual(m.Routes, before.Routes) {
+		t.Errorf("failed move changed the routes")
 	}
 }

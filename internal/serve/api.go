@@ -208,25 +208,33 @@ func unprocessable(format string, args ...interface{}) *httpError {
 // resolved is a MapRequest parsed, canonicalized, and content-addressed,
 // ready for a cache lookup or a computation.
 type resolved struct {
-	name         string // workload name or "source"
-	prog         *larcs.Program
-	canonical    string
-	bindings     map[string]int
-	net          *topology.Network
-	opts         MapRequestOptions
-	key          string
-	timeout      time.Duration
-	stageTimeout time.Duration
-	// parallelism is the effective worker budget for this request's
-	// pipeline: the server's per-request budget, lowered by the
-	// request's own parallelism option when set.
-	parallelism int
+	name      string // workload name or "source"
+	prog      *larcs.Program
+	canonical string
+	bindings  map[string]int
+	opts      MapRequestOptions
+	key       string
+	timeout   time.Duration
+	// req is the request's validated MAPPER options and target network,
+	// with the stage deadline and worker budget clamped to the server's;
+	// compute adds the program, the context and the stage observer.
+	req core.Request
 }
 
-// resolve validates and canonicalizes one request. It parses the program
-// (but does not expand it), builds the target network, merges workload
-// default bindings, clamps deadlines to the server's configuration, and
-// derives the content-addressed cache key.
+// requestFields spells each core.Request field Validate can reject as
+// the JSON field it came from.
+var requestFields = map[string]string{
+	"Force":           "options.algo",
+	"Parallelism":     "options.parallelism",
+	"MaxTasksPerProc": "options.max_tasks_per_proc",
+	"StageTimeout":    "options.stage_timeout_ms",
+}
+
+// resolve validates and canonicalizes one request. It validates the
+// options, parses the program (but does not expand it), builds the
+// target network, merges workload default bindings, clamps deadlines
+// and the worker budget to the server's configuration, and derives the
+// content-addressed cache key.
 func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 	if req == nil {
 		return nil, badRequest("empty request")
@@ -237,26 +245,41 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 	if req.Net == "" {
 		return nil, badRequest("net is required, e.g. \"hypercube:3\"")
 	}
-	r := &resolved{
-		name:     "source",
-		bindings: make(map[string]int),
+	r := &resolved{name: "source"}
+	if req.Options != nil {
+		r.opts = *req.Options
 	}
-	src := req.Source
+	if r.opts.TimeoutMS < 0 {
+		return nil, badRequest("options.timeout_ms: must be >= 0, got %d", r.opts.TimeoutMS)
+	}
+	r.req = core.Request{
+		Force:           core.Class(r.opts.Algo),
+		MaxTasksPerProc: r.opts.MaxTasksPerProc,
+		Refine:          r.opts.Refine,
+		Route:           route.Options{UseMaximum: r.opts.MaximumMatchingRouter},
+		StageTimeout:    time.Duration(r.opts.StageTimeoutMS) * time.Millisecond,
+		Parallelism:     r.opts.Parallelism,
+	}
+	if err := r.req.Validate(); err != nil {
+		var fe *core.FieldError
+		if errors.As(err, &fe) {
+			return nil, badRequest("%s: %s", requestFields[fe.Field], fe.Reason)
+		}
+		return nil, badRequest("%v", err)
+	}
+	// "auto" and "" are the same dispatcher behavior; Validate
+	// normalizes so they share one cache entry.
+	r.opts.Algo = string(r.req.Force)
+	w := workload.Workload{Source: req.Source}
 	if req.Workload != "" {
-		w, err := workload.ByName(req.Workload)
-		if err != nil {
+		var err error
+		if w, err = workload.ByName(req.Workload); err != nil {
 			return nil, badRequest("%v", err)
 		}
 		r.name = w.Name
-		src = w.Source
-		for k, v := range w.Defaults {
-			r.bindings[k] = v
-		}
 	}
-	for k, v := range req.Bindings {
-		r.bindings[k] = v
-	}
-	prog, err := larcs.Parse(src)
+	r.bindings = w.Bindings(req.Bindings)
+	prog, err := larcs.Parse(w.Source)
 	if err != nil {
 		return nil, unprocessable("parse: %v", err)
 	}
@@ -266,33 +289,18 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	r.net = net
-	if req.Options != nil {
-		r.opts = *req.Options
-		// "auto" and "" are the same dispatcher behavior; ParseClass
-		// normalizes so they share one cache entry.
-		class, err := core.ParseClass(r.opts.Algo)
-		if err != nil {
-			return nil, badRequest("options.algo: %v", err)
-		}
-		r.opts.Algo = string(class)
-		if r.opts.Parallelism < 0 {
-			return nil, badRequest("options.parallelism must be >= 0 (0 = server budget), got %d", r.opts.Parallelism)
-		}
-	}
+	r.req.Net = net
 	// The effective budget is the server's per-request share of the
 	// machine; a request may only lower it.
-	r.parallelism = s.cfg.Parallel
-	if r.opts.Parallelism > 0 && r.opts.Parallelism < r.parallelism {
-		r.parallelism = r.opts.Parallelism
+	if p := r.req.Parallelism; p == 0 || p > s.cfg.Parallel {
+		r.req.Parallelism = s.cfg.Parallel
 	}
 	r.timeout = s.cfg.RequestTimeout
 	if d := time.Duration(r.opts.TimeoutMS) * time.Millisecond; d > 0 && d < r.timeout {
 		r.timeout = d
 	}
-	r.stageTimeout = s.cfg.StageTimeout
-	if d := time.Duration(r.opts.StageTimeoutMS) * time.Millisecond; d > 0 && (r.stageTimeout == 0 || d < r.stageTimeout) {
-		r.stageTimeout = d
+	if d := r.req.StageTimeout; s.cfg.StageTimeout > 0 && (d == 0 || d > s.cfg.StageTimeout) {
+		r.req.StageTimeout = s.cfg.StageTimeout
 	}
 	r.key = cacheKey(r.canonical, r.bindings, net.Name, &r.opts)
 	return r, nil
@@ -323,25 +331,16 @@ func (s *Server) compute(ctx context.Context, r *resolved) (*cacheEntry, error) 
 	s.reg.ObserveStage("compile", time.Since(compileStart))
 
 	mapStart := time.Now()
-	res, err := core.Map(core.Request{
-		Compiled:        comp,
-		Net:             r.net,
-		Force:           core.Class(r.opts.Algo),
-		MaxTasksPerProc: r.opts.MaxTasksPerProc,
-		Refine:          r.opts.Refine,
-		Route:           route.Options{UseMaximum: r.opts.MaximumMatchingRouter},
-		Ctx:             ctx,
-		StageTimeout:    r.stageTimeout,
-		Observe:         s.reg.ObserveStage,
-		Parallelism:     r.parallelism,
-	})
+	mreq := r.req
+	mreq.Compiled, mreq.Ctx, mreq.Observe = comp, ctx, s.reg.ObserveStage
+	res, err := core.Map(mreq)
 	if err != nil {
 		return nil, pipelineHTTPError(err)
 	}
 	s.reg.ObserveStage("map", time.Since(mapStart))
 
 	metricsStart := time.Now()
-	rep, err := metrics.ComputeN(res.Mapping, r.parallelism)
+	rep, err := metrics.ComputeN(res.Mapping, r.req.Parallelism)
 	if err != nil {
 		return nil, &httpError{status: http.StatusInternalServerError, msg: fmt.Sprintf("metrics: %v", err)}
 	}
@@ -369,9 +368,9 @@ func (s *Server) compute(ctx context.Context, r *resolved) (*cacheEntry, error) 
 	resp := MapResponse{
 		APIVersion:  APIVersion,
 		Workload:    r.name,
-		Net:         r.net.Name,
+		Net:         r.req.Net.Name,
 		Tasks:       comp.Graph.NumTasks,
-		Procs:       r.net.N,
+		Procs:       r.req.Net.N,
 		Class:       string(res.Class),
 		Method:      m.Method,
 		Trail:       res.Trail,
@@ -403,11 +402,7 @@ func (s *Server) runOracle(m *cacheEntry) []string {
 		return []string{"no live mapping available for oracle"}
 	}
 	checkStart := time.Now()
-	rep, err := metrics.Compute(m.m)
-	if err != nil {
-		rep = nil // the structural violations below explain why
-	}
-	vs := check.Verify(m.m.Graph, m.m.Net, m.m, rep)
+	vs := check.Run(m.m.Graph, m.m.Net, m.m, 1)
 	s.reg.ObserveStage("check", time.Since(checkStart))
 	if len(vs) == 0 {
 		return nil

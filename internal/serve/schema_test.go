@@ -91,6 +91,33 @@ func TestUnknownRequestFieldsRejectedByName(t *testing.T) {
 	}
 }
 
+// TestInvalidOptionsRejectedByField pins option parity with the facade:
+// every value core.Request.Validate (or resolve, for timeout_ms) rejects
+// is a 400 naming the JSON field, decided before any computation, so no
+// cache entry appears under a second key.
+func TestInvalidOptionsRejectedByField(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	cases := []struct{ options, field string }{
+		{`{"max_tasks_per_proc":-5}`, "options.max_tasks_per_proc"},
+		{`{"timeout_ms":-1}`, "options.timeout_ms"},
+		{`{"stage_timeout_ms":-1}`, "options.stage_timeout_ms"},
+		{`{"parallelism":-1}`, "options.parallelism"},
+		{`{"algo":"bogus"}`, "options.algo"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			status, body := post(t, ts.URL, "/v1/map",
+				`{"workload":"nbody","net":"hypercube:3","options":`+tc.options+`}`)
+			if status != 400 || !strings.Contains(body, tc.field) {
+				t.Fatalf("options %s: %d %s, want 400 naming %s", tc.options, status, body, tc.field)
+			}
+			if n := s.cache.len(); n != 0 {
+				t.Fatalf("options %s: %d cache entries, want 0", tc.options, n)
+			}
+		})
+	}
+}
+
 func TestParallelismOption(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -145,15 +172,15 @@ func TestPerRequestBudgetDividesCores(t *testing.T) {
 	if herr != nil {
 		t.Fatal(herr)
 	}
-	if r.parallelism != 1 {
-		t.Errorf("lowered budget = %d, want 1", r.parallelism)
+	if r.req.Parallelism != 1 {
+		t.Errorf("lowered budget = %d, want 1", r.req.Parallelism)
 	}
 	r, herr = s.resolve(&MapRequest{Workload: "nbody", Net: "hypercube:3",
 		Options: &MapRequestOptions{Parallelism: 64}})
 	if herr != nil {
 		t.Fatal(herr)
 	}
-	if r.parallelism != 2 {
-		t.Errorf("raised budget = %d, want cap 2", r.parallelism)
+	if r.req.Parallelism != 2 {
+		t.Errorf("raised budget = %d, want cap 2", r.req.Parallelism)
 	}
 }

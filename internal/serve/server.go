@@ -75,13 +75,10 @@ type Config struct {
 	AddrFile string
 	// MaxBatch bounds /v1/map/batch request counts (default 64).
 	MaxBatch int
-	// Persist enables the disk-backed cache (internal/store): completed
-	// mappings are written behind the request path and reloaded on the
-	// next boot, so a restart is a warm start. Setting StateDir implies
-	// Persist.
-	Persist bool
-	// StateDir is where the persistent store lives (default
-	// "oregami.state" when Persist is set without a directory).
+	// StateDir, when set, is where the disk-backed cache
+	// (internal/store) lives: completed mappings are written behind the
+	// request path and reloaded on the next boot, so a restart is a warm
+	// start. Empty means no persistence.
 	StateDir string
 	// StoreBytes is the persistent store's disk budget (default 256 MiB).
 	StoreBytes int64
@@ -128,12 +125,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
 	}
-	if c.StateDir != "" {
-		c.Persist = true
-	}
-	if c.Persist && c.StateDir == "" {
-		c.StateDir = "oregami.state"
-	}
 	return c
 }
 
@@ -162,7 +153,7 @@ type Server struct {
 	// persistence is on. /readyz reports it; /healthz is liveness only.
 	ready atomic.Bool
 
-	// Persistence (nil / unused unless cfg.Persist).
+	// Persistence (nil / unused unless cfg.StateDir is set).
 	store         *store.Store
 	persistCh     chan *cacheEntry
 	persistDone   chan struct{}
@@ -217,7 +208,7 @@ func New(cfg Config) *Server {
 			reg.PeersUp.Store(int64(cl.UpPeers()))
 		}
 	}
-	if cfg.Persist {
+	if cfg.StateDir != "" {
 		s.persistCh = make(chan *cacheEntry, 256)
 		s.persistDone = make(chan struct{})
 	} else {
@@ -283,7 +274,7 @@ func verifyRecord(rec store.Record) error {
 // OpenStore opens the persistent store at StateDir, replays and
 // fingerprint-verifies its WAL and segments, warm-loads the surviving
 // entries into the in-memory cache, starts the write-behind persister,
-// and marks the server ready. It is a no-op without Persist, idempotent
+// and marks the server ready. It is a no-op without a StateDir, idempotent
 // otherwise. ListenAndServe calls it in the background after binding so
 // /readyz is observable (503 "recovering") while recovery runs;
 // Handler-based tests call it directly for a deterministic warm start.
@@ -294,7 +285,7 @@ func (s *Server) OpenStore() error {
 }
 
 func (s *Server) openStore() error {
-	if !s.cfg.Persist {
+	if s.cfg.StateDir == "" {
 		s.setReady()
 		return nil
 	}

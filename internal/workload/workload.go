@@ -323,6 +323,21 @@ func ByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("workload: unknown workload %q (have %v)", name, names)
 }
 
+// Bindings returns a fresh map of the workload's default bindings
+// overridden by the given ones. A Workload holding only a Source (an
+// inline or file program) has no defaults, so it returns a copy of
+// overrides.
+func (w Workload) Bindings(overrides map[string]int) map[string]int {
+	out := make(map[string]int, len(w.Defaults)+len(overrides))
+	for k, v := range w.Defaults {
+		out[k] = v
+	}
+	for k, v := range overrides {
+		out[k] = v
+	}
+	return out
+}
+
 // Compile parses and compiles the workload with its default bindings
 // overridden by the provided ones.
 func (w Workload) Compile(overrides map[string]int) (*larcs.Compiled, error) {
@@ -330,14 +345,7 @@ func (w Workload) Compile(overrides map[string]int) (*larcs.Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", w.Name, err)
 	}
-	bindings := make(map[string]int, len(w.Defaults)+len(overrides))
-	for k, v := range w.Defaults {
-		bindings[k] = v
-	}
-	for k, v := range overrides {
-		bindings[k] = v
-	}
-	c, err := prog.Compile(bindings, larcs.Limits{})
+	c, err := prog.Compile(w.Bindings(overrides), larcs.Limits{})
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", w.Name, err)
 	}

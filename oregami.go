@@ -23,6 +23,7 @@ package oregami
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -219,12 +220,11 @@ func (e *OptionError) Error() string {
 // Normalize validates opts and returns a normalized copy (nil receiver
 // means all defaults). It rejects, with a typed *OptionError:
 //
-//   - Parallelism < 0 (the budget is "auto" at 0, else a worker count)
-//   - negative Timeout or StageTimeout
+//   - negative Timeout
 //   - StageTimeout >= Timeout when both are set (the stage degradation
 //     window would never fire before the whole pipeline dies)
-//   - an unknown Force class
-//   - MaxTasksPerProc < 0
+//   - everything core.Request.Validate rejects: an unknown Force class,
+//     and negative Parallelism, MaxTasksPerProc or StageTimeout
 //
 // The receiver is never modified; Map and MapContext operate on the
 // returned copy.
@@ -233,27 +233,36 @@ func (o *MapOptions) Normalize() (*MapOptions, error) {
 	if o != nil {
 		*out = *o
 	}
-	if out.Parallelism < 0 {
-		return nil, &OptionError{Option: "Parallelism", Reason: fmt.Sprintf("must be >= 0 (0 = auto), got %d", out.Parallelism)}
-	}
 	if out.Timeout < 0 {
 		return nil, &OptionError{Option: "Timeout", Reason: fmt.Sprintf("must be >= 0, got %v", out.Timeout)}
-	}
-	if out.StageTimeout < 0 {
-		return nil, &OptionError{Option: "StageTimeout", Reason: fmt.Sprintf("must be >= 0, got %v", out.StageTimeout)}
 	}
 	if out.Timeout > 0 && out.StageTimeout >= out.Timeout {
 		return nil, &OptionError{Option: "StageTimeout", Reason: fmt.Sprintf("%v does not fit inside Timeout %v; the degraded-contraction fallback could never run", out.StageTimeout, out.Timeout)}
 	}
-	if out.MaxTasksPerProc < 0 {
-		return nil, &OptionError{Option: "MaxTasksPerProc", Reason: fmt.Sprintf("must be >= 0 (0 = derive), got %d", out.MaxTasksPerProc)}
+	req := out.request()
+	if err := req.Validate(); err != nil {
+		var fe *core.FieldError
+		if errors.As(err, &fe) {
+			return nil, &OptionError{Option: fe.Field, Reason: fe.Reason}
+		}
+		return nil, err
 	}
-	class, err := core.ParseClass(out.Force)
-	if err != nil {
-		return nil, &OptionError{Option: "Force", Reason: err.Error()}
-	}
-	out.Force = string(class)
+	out.Force = string(req.Force)
 	return out, nil
+}
+
+// request is the core.Request these options describe, short of the
+// program, the network and the context.
+func (o *MapOptions) request() core.Request {
+	return core.Request{
+		Force:           core.Class(o.Force),
+		MaxTasksPerProc: o.MaxTasksPerProc,
+		Refine:          o.Refine,
+		Route:           route.Options{UseMaximum: o.MaximumMatchingRouter},
+		StageTimeout:    o.StageTimeout,
+		Check:           o.Check,
+		Parallelism:     o.Parallelism,
+	}
 }
 
 // FaultModel is a set of failed processors and links.
@@ -313,18 +322,9 @@ func (c *Computation) MapContext(ctx context.Context, net *Network, opts *MapOpt
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
-	res, err := core.Map(core.Request{
-		Compiled:        c.compiled,
-		Net:             net,
-		Force:           core.Class(opts.Force),
-		MaxTasksPerProc: opts.MaxTasksPerProc,
-		Refine:          opts.Refine,
-		Route:           route.Options{UseMaximum: opts.MaximumMatchingRouter},
-		Ctx:             ctx,
-		StageTimeout:    opts.StageTimeout,
-		Check:           opts.Check,
-		Parallelism:     opts.Parallelism,
-	})
+	req := opts.request()
+	req.Compiled, req.Net, req.Ctx = c.compiled, net, ctx
+	res, err := core.Map(req)
 	if err != nil {
 		return nil, err
 	}
@@ -394,16 +394,7 @@ func (m *Mapping) SimulateSteps(cfg SimConfig, maxSteps int) (*sim.Result, error
 // rerouting fails (e.g. the target is unreachable on a degraded
 // machine), the mapping rolls back to its previous state.
 func (m *Mapping) ReassignTask(task, proc int) error {
-	inner := m.res.Mapping
-	snap := inner.Clone()
-	if err := metrics.ReassignTask(inner, task, proc); err != nil {
-		return err
-	}
-	if _, err := route.RouteAll(inner, route.Options{}); err != nil {
-		inner.Part, inner.Place, inner.Routes = snap.Part, snap.Place, snap.Routes
-		return fmt.Errorf("oregami: reassigning task %d to processor %d: %w (mapping unchanged)", task, proc, err)
-	}
-	return nil
+	return metrics.MoveTask(m.res.Mapping, task, proc)
 }
 
 // Repair remaps around the failures in model without recomputing the
@@ -469,11 +460,7 @@ func RenderViolations(vs []Violation) string { return check.Render(vs) }
 // recomputed independently and compared exactly.
 func (m *Mapping) Check() []Violation {
 	inner := m.res.Mapping
-	rep, err := metrics.Compute(inner)
-	if err != nil {
-		rep = nil // structural violations below explain why
-	}
-	return check.Verify(m.comp.Graph, inner.Net, inner, rep)
+	return check.Run(m.comp.Graph, inner.Net, inner, 1)
 }
 
 // --- Section 6 extensions -----------------------------------------------
