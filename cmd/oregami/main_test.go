@@ -81,7 +81,6 @@ func TestCLIErrors(t *testing.T) {
 		{"-workload", "zzz", "-net", "hypercube:3"},                      // unknown workload
 		{"-workload", "nbody", "-net", "mesh:2,2", "-algo", "systolic"},  // inapplicable class
 		{"-workload", "nbody", "-net", "hypercube:3", "extra"},           // stray positional argument
-		{"-workload", "nbody", "-net", "hypercube:3", "-algo", "bogus"},  // unknown class
 		{"-workload", "nbody", "-net", "hypercube:3", "-parallel", "-1"}, // negative worker budget
 	} {
 		if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
@@ -268,10 +267,6 @@ func TestCLIAlgoMultilevel(t *testing.T) {
 			[]string{"MAPPER class: multilevel", "refine moves", "check: mapping verified"}},
 		{[]string{"-workload", "jacobi", "-net", "hier:4,4", "-algo", "recursive-bisection"},
 			[]string{"MAPPER class: recursive-bisection"}},
-		{[]string{"-workload", "jacobi", "-net", "hier:2,2,4", "-algo", "recursive-bisection"},
-			[]string{"MAPPER class: recursive-bisection"}},
-		{[]string{"-workload", "jacobi", "-net", "hier:2,2,4", "-algo", "multilevel"},
-			[]string{"MAPPER class: multilevel"}},
 	}
 	for _, tc := range cases {
 		out, err := exec.Command(bin, append(tc.args, "-sim=false")...).CombinedOutput()
@@ -283,6 +278,29 @@ func TestCLIAlgoMultilevel(t *testing.T) {
 				t.Errorf("%v: output missing %q:\n%s", tc.args, want, out)
 			}
 		}
+	}
+}
+
+// TestCLIAlgo runs each -algo class by name on jacobi over hier:2,2,4 and
+// checks that an unknown class is refused with the class table in the
+// message.
+func TestCLIAlgo(t *testing.T) {
+	bin := buildCmd(t)
+	for _, class := range []string{"recursive-bisection", "multilevel"} {
+		out, err := exec.Command(bin, "-workload", "jacobi", "-net", "hier:2,2,4", "-algo", class, "-sim=false").CombinedOutput()
+		if err != nil {
+			t.Fatalf("-algo %s: %v\n%s", class, err, out)
+		}
+		if !strings.Contains(string(out), "MAPPER class: "+class) {
+			t.Errorf("-algo %s: class missing:\n%s", class, out)
+		}
+	}
+	out, err := exec.Command(bin, "-workload", "nbody", "-net", "hypercube:3", "-algo", "bogus").CombinedOutput()
+	if code := exitCode(err); code != 1 {
+		t.Errorf("-algo bogus: exit %d, want 1\n%s", code, out)
+	}
+	if !strings.Contains(string(out), `unknown algorithm class "bogus"`) {
+		t.Errorf("-algo bogus: message missing the class:\n%s", out)
 	}
 }
 
