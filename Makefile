@@ -20,6 +20,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=FuzzRepair -fuzz=FuzzRepair -fuzztime=$(FUZZTIME) ./internal/fault/
 	$(GO) test -run=FuzzLaRCSParse -fuzz=FuzzLaRCSParse -fuzztime=$(FUZZTIME) ./internal/larcs/
+	$(GO) test -run=FuzzCompileDifferential -fuzz=FuzzCompileDifferential -fuzztime=$(FUZZTIME) ./internal/larcs/
 	$(GO) test -run=FuzzVerifyMapping -fuzz=FuzzVerifyMapping -fuzztime=$(FUZZTIME) ./internal/check/
 	$(GO) test -run=FuzzCSRRoundTrip -fuzz=FuzzCSRRoundTrip -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run=FuzzCoarsen -fuzz=FuzzCoarsen -fuzztime=$(FUZZTIME) ./internal/multilevel/

@@ -266,6 +266,41 @@ func TestAllocBudgetDetect(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetCompile gates the LaRCS compiler, which every cache
+// miss runs. Expansion evaluates closures over one reused frame, so the
+// count is the lowering's O(AST) closures plus a fixed number of slices
+// per phase, whatever the program expands to: jacobi n=100 (1e4 tasks,
+// 39.6k edges) measures 84 allocs/op, where the tree-walking
+// interpreter made ~177k (4.5 per edge), and nbody at its defaults 86.
+// Ceilings are ~2x the measured counts.
+func TestAllocBudgetCompile(t *testing.T) {
+	for _, tc := range []struct {
+		workload  string
+		overrides map[string]int
+		ceiling   float64
+	}{
+		{"jacobi", map[string]int{"n": 100}, 170},
+		{"nbody", nil, 170},
+	} {
+		t.Run(tc.workload, func(t *testing.T) {
+			w, err := workload.ByName(tc.workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := larcs.Parse(w.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bindings := w.Bindings(tc.overrides)
+			gate(t, "larcs.Compile "+tc.workload, tc.ceiling, func() {
+				if _, err := prog.Compile(bindings, larcs.Limits{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
 // TestAllocBudgetGroupContract gates the group-theoretic contraction.
 // nbody n=35 into 35 clusters asks for a subgroup of order 1, which no
 // generator gives, so it takes the subgroup-lattice path; broadcast8

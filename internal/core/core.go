@@ -197,6 +197,12 @@ type Result struct {
 	RouteStats map[string]route.Stats
 	// Trail records the dispatcher's decisions for display.
 	Trail []string
+	// Degraded is set when MWM-Contract failed (a StageTimeout expiry or
+	// a contained panic) and the mapping came from the Stone or greedy
+	// fallback. A timeout downgrade depends on machine load, not only on
+	// the request, so equal requests can get different mappings; a
+	// cache must not keep such a result as the request's answer.
+	Degraded bool
 }
 
 // ctxErr reports whether err is a cancellation or deadline error.
@@ -561,10 +567,11 @@ func mapArbitrary(ctx context.Context, req Request, res *Result, trail func(stri
 		}
 		trail("arbitrary: %d tasks fit %d live processors; no contraction", g.NumTasks, liveN)
 	} else {
-		part, err := contractWithFallback(ctx, req, g, liveN, trail)
+		part, degraded, err := contractWithFallback(ctx, req, g, liveN, trail)
 		if err != nil {
 			return nil, err
 		}
+		res.Degraded = degraded
 		m.Part = part
 		trail("arbitrary: contracted to %d clusters (IPC %g)", m.NumClusters(), m.TotalIPC())
 		if req.Refine {
@@ -593,14 +600,15 @@ func mapArbitrary(ctx context.Context, req Request, res *Result, trail func(stri
 // contractWithFallback runs MWM-Contract under the optional stage
 // deadline with panic containment, degrading to Stone (two processors)
 // or the greedy-only pass when the full algorithm times out or panics
-// while the overall context is still live.
-func contractWithFallback(ctx context.Context, req Request, g *graph.TaskGraph, liveN int, trail func(string, ...interface{})) ([]int, error) {
+// while the overall context is still live. degraded reports that a
+// fallback produced the partition.
+func contractWithFallback(ctx context.Context, req Request, g *graph.TaskGraph, liveN int, trail func(string, ...interface{})) (part []int, degraded bool, err error) {
 	sctx := ctx
 	cancel := func() {}
 	if req.StageTimeout > 0 {
 		sctx, cancel = context.WithTimeout(ctx, req.StageTimeout)
 	}
-	part, err := safeContract(func() ([]int, error) {
+	part, err = safeContract(func() ([]int, error) {
 		return contract.MWMContract(g, contract.Options{
 			Processors:      liveN,
 			MaxTasksPerProc: req.MaxTasksPerProc,
@@ -610,11 +618,11 @@ func contractWithFallback(ctx context.Context, req Request, g *graph.TaskGraph, 
 	})
 	cancel()
 	if err == nil {
-		return part, nil
+		return part, false, nil
 	}
 	if ctx.Err() != nil {
 		// The overall deadline is gone: no point degrading.
-		return nil, err
+		return nil, false, err
 	}
 	// Degrade: Stone's optimal two-processor assignment when exactly two
 	// processors are live, else the greedy-only contraction.
@@ -623,7 +631,7 @@ func contractWithFallback(ctx context.Context, req Request, g *graph.TaskGraph, 
 		exec := contract.UniformExecCosts(g)
 		part, _, serr := contract.TwoProcStone(g, exec, exec)
 		if serr != nil {
-			return nil, fmt.Errorf("stone fallback after %v: %w", err, serr)
+			return nil, false, fmt.Errorf("stone fallback after %v: %w", err, serr)
 		}
 		// Stone may leave everything on one side; cluster ids must stay
 		// dense for Validate.
@@ -639,7 +647,7 @@ func contractWithFallback(ctx context.Context, req Request, g *graph.TaskGraph, 
 				part[i] = 0
 			}
 		}
-		return part, nil
+		return part, true, nil
 	}
 	trail("arbitrary: MWM-Contract failed (%v); downgrading to greedy contraction", err)
 	part, gerr := safeContract(func() ([]int, error) {
@@ -652,9 +660,9 @@ func contractWithFallback(ctx context.Context, req Request, g *graph.TaskGraph, 
 		})
 	})
 	if gerr != nil {
-		return nil, fmt.Errorf("greedy fallback after %v: %w", err, gerr)
+		return nil, false, fmt.Errorf("greedy fallback after %v: %w", err, gerr)
 	}
-	return part, nil
+	return part, true, nil
 }
 
 // mapMultilevel runs the hierarchical coarsen/map/uncoarsen engine

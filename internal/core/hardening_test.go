@@ -256,6 +256,20 @@ func TestStageTimeoutDowngradesToGreedy(t *testing.T) {
 	if !found {
 		t.Errorf("trail does not record the greedy downgrade: %v", res.Trail)
 	}
+	if !res.Degraded {
+		t.Error("greedy downgrade not recorded in Result.Degraded")
+	}
+	full, err := Map(Request{
+		Compiled: compiled(ringTaskGraph(64)),
+		Net:      topology.Ring(4),
+		Force:    ClassArbitrary,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Degraded {
+		t.Errorf("undegraded run reports Degraded; trail %v", full.Trail)
+	}
 }
 
 func TestStageTimeoutDowngradesToStone(t *testing.T) {
@@ -281,5 +295,8 @@ func TestStageTimeoutDowngradesToStone(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("trail does not record the Stone downgrade: %v", res.Trail)
+	}
+	if !res.Degraded {
+		t.Error("Stone downgrade not recorded in Result.Degraded")
 	}
 }

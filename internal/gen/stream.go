@@ -10,8 +10,8 @@ import (
 // Streaming generators for the multilevel scale suite: unlike the
 // seeded random corpus above, these build 1e5..1e6-task graphs with a
 // handful of allocations — edge slices are sized exactly up front and
-// labels come from graph.NewCompact — so the scale benchmarks measure
-// the coarsener, not the generator.
+// graph.New carves the labels from one backing string — so the scale
+// benchmarks measure the coarsener, not the generator.
 
 // Grid2D builds the r x c 5-point-stencil task graph: one comm phase
 // where each task exchanges with its grid neighbors, edge weights the
@@ -22,7 +22,7 @@ func Grid2D(r, c int) *graph.TaskGraph {
 	if r < 1 || c < 1 {
 		panic(fmt.Sprintf("gen: Grid2D needs positive dims, got %dx%d", r, c))
 	}
-	g := graph.NewCompact(fmt.Sprintf("grid-%dx%d", r, c), r*c)
+	g := graph.New(fmt.Sprintf("grid-%dx%d", r, c), r*c)
 	p := g.AddCommPhase("stencil")
 	p.Edges = make([]graph.Edge, 0, r*(c-1)+(r-1)*c)
 	for i := 0; i < r; i++ {
@@ -52,7 +52,7 @@ func SmallWorld(seed int64, n, chords int) *graph.TaskGraph {
 		panic(fmt.Sprintf("gen: SmallWorld needs chords >= 0, got %d", chords))
 	}
 	r := rand.New(rand.NewSource(seed))
-	g := graph.NewCompact(fmt.Sprintf("smallworld-%d", n), n)
+	g := graph.New(fmt.Sprintf("smallworld-%d", n), n)
 	p := g.AddCommPhase("ring")
 	p.Edges = make([]graph.Edge, 0, n*(1+chords))
 	for v := 0; v < n; v++ {

@@ -60,7 +60,7 @@ func TestSmallWorld(t *testing.T) {
 }
 
 // The streaming generators must stay out of the coarsener's allocation
-// story: label construction is O(1) allocations via graph.NewCompact.
+// story: graph.New builds every label in O(1) allocations.
 func TestStreamLabelSharing(t *testing.T) {
 	g := Grid2D(40, 25)
 	ref := graph.New("ref", 1000)

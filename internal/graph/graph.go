@@ -84,28 +84,10 @@ func lookupName(s []nameIndex, name string) int {
 	return -1
 }
 
-// New creates an empty task graph with n tasks labeled "0".."n-1".
+// New creates an empty task graph with n tasks labeled "0".."n-1". The
+// labels are carved from one backing string, so construction costs
+// three allocations whatever n is.
 func New(name string, n int) *TaskGraph {
-	if n < 0 {
-		panic(fmt.Sprintf("graph: negative task count %d", n))
-	}
-	labels := make([]string, n)
-	for i := range labels {
-		labels[i] = fmt.Sprint(i)
-	}
-	return &TaskGraph{
-		Name:     name,
-		NumTasks: n,
-		Labels:   labels,
-	}
-}
-
-// NewCompact creates an empty task graph with the same "0".."n-1"
-// labels as New, but carves them all from one backing string: three
-// allocations total instead of one per task. The million-task
-// generators in internal/gen use it so graph construction stays out of
-// the coarsener's allocation budget.
-func NewCompact(name string, n int) *TaskGraph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative task count %d", n))
 	}

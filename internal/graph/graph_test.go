@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,25 @@ func TestNewLabels(t *testing.T) {
 	}
 	if g.NumEdges() != 0 {
 		t.Errorf("new graph has %d edges, want 0", g.NumEdges())
+	}
+}
+
+// TestNewLabelWidths checks New's one-backing-string labels against
+// fmt.Sprint across every decimal width boundary.
+func TestNewLabelWidths(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 9, 10, 11, 99, 100, 101, 1234} {
+		g := New("x", n)
+		if len(g.Labels) != n {
+			t.Fatalf("n=%d: %d labels", n, len(g.Labels))
+		}
+		for i, l := range g.Labels {
+			if want := fmt.Sprint(i); l != want {
+				t.Fatalf("n=%d label[%d] = %q, want %q", n, i, l, want)
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 	}
 }
 

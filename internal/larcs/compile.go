@@ -2,6 +2,7 @@ package larcs
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"oregami/internal/graph"
@@ -77,42 +78,49 @@ type Compiled struct {
 
 // Compile expands the program for the given parameter/import bindings.
 // All declared params and imports must be bound.
+//
+// Compilation lowers and then expands each declaration in order. The
+// lowering pass gives every identifier a frame slot and turns every
+// expression into a closure over the frame (eval.go); the expansion
+// runs those closures over one reused frame, so an edge costs no
+// allocation beyond its slot in the phase's edge slice. Lowering is
+// O(AST) per call and leaves no state on the Program, so concurrent
+// compiles of one program are safe.
 func (prog *Program) Compile(bindings map[string]int, lim Limits) (*Compiled, error) {
 	lim = lim.withDefaults()
-	en := env{}
+	c := &compiler{scope: scope{deepest: -1}, maxEdges: lim.MaxEdges}
 	for _, p := range prog.Params {
 		v, ok := bindings[p]
 		if !ok {
 			return nil, fmt.Errorf("larcs: parameter %q not bound", p)
 		}
-		en[p] = v
+		c.frame[c.bind(p)] = v
 	}
 	for _, im := range prog.Imports {
 		v, ok := bindings[im]
 		if !ok {
 			return nil, fmt.Errorf("larcs: imported variable %q not bound", im)
 		}
-		en[im] = v
+		c.frame[c.bind(im)] = v
 	}
-	for _, c := range prog.Consts {
-		v, err := eval(c.Val, en)
+	for _, cd := range prog.Consts {
+		v, err := c.eval(cd.Val)
 		if err != nil {
 			return nil, err
 		}
-		en[c.Name] = v
+		c.frame[c.bind(cd.Name)] = v
 	}
 
 	// Node types.
-	var infos []NodeTypeInfo
 	total := 0
 	for _, nt := range prog.NodeTypes {
 		info := NodeTypeInfo{Name: nt.Name, Offset: total, Size: 1}
 		for _, d := range nt.Dims {
-			lo, err := eval(d.Lo, en)
+			lo, err := c.eval(d.Lo)
 			if err != nil {
 				return nil, err
 			}
-			hi, err := eval(d.Hi, en)
+			hi, err := c.eval(d.Hi)
 			if err != nil {
 				return nil, err
 			}
@@ -131,54 +139,31 @@ func (prog *Program) Compile(bindings map[string]int, lim Limits) (*Compiled, er
 		if total > lim.MaxTasks {
 			return nil, fmt.Errorf("larcs: program exceeds task limit %d", lim.MaxTasks)
 		}
-		infos = append(infos, info)
+		c.infos = append(c.infos, info)
 	}
 
-	g := graph.New(prog.Name, total)
-	// Labels: single 1-D nodetype keeps the paper's bare numeric labels;
-	// everything else gets name(i,j,...) labels.
-	if len(infos) == 1 && len(infos[0].Lo) == 1 {
-		for t := 0; t < total; t++ {
-			g.Labels[t] = fmt.Sprint(infos[0].Lo[0] + t)
-		}
-	} else {
-		for ti := range infos {
-			info := &infos[ti]
-			for t := info.Offset; t < info.Offset+info.Size; t++ {
-				idx := info.Index(t)
-				parts := make([]string, len(idx))
-				for d, v := range idx {
-					parts[d] = fmt.Sprint(v)
-				}
-				g.Labels[t] = fmt.Sprintf("%s(%s)", info.Name, strings.Join(parts, ","))
-			}
-		}
-	}
-	typeByName := make(map[string]*NodeTypeInfo)
-	for i := range infos {
-		typeByName[infos[i].Name] = &infos[i]
-	}
+	// The graph is built around its labels rather than through
+	// graph.New, whose "0".."n-1" labels most programs would overwrite.
+	g := &graph.TaskGraph{Name: prog.Name, NumTasks: total, Labels: taskLabels(c.infos, total)}
 
 	// Communication phases. Parameterized families expand to one phase
-	// per range value, named name(v).
-	edgeCount := 0
+	// per range value, named name(v), sharing one lowering of the rules.
 	commNames := make(map[string]bool)
 	for _, cp := range prog.CommPhases {
 		if cp.Param == "" {
+			rules := c.lowerRules(cp.Rules)
 			gp := g.AddCommPhase(cp.Name)
 			commNames[cp.Name] = true
-			for _, rule := range cp.Rules {
-				if err := expandRule(g, gp, rule, en, typeByName, lim, &edgeCount); err != nil {
-					return nil, err
-				}
+			if err := c.expand(gp, rules); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		lo, err := eval(cp.Range.Lo, en)
+		lo, err := c.eval(cp.Range.Lo)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := eval(cp.Range.Hi, en)
+		hi, err := c.eval(cp.Range.Hi)
 		if err != nil {
 			return nil, err
 		}
@@ -188,19 +173,16 @@ func (prog *Program) Compile(bindings map[string]int, lim Limits) (*Compiled, er
 		if hi-lo+1 > 4096 {
 			return nil, fmt.Errorf("larcs: phase family %q expands to %d phases", cp.Name, hi-lo+1)
 		}
+		param := c.bind(cp.Param)
+		rules := c.lowerRules(cp.Rules)
+		c.unbind(1)
 		for v := lo; v <= hi; v++ {
 			name := fmt.Sprintf("%s(%d)", cp.Name, v)
 			gp := g.AddCommPhase(name)
 			commNames[name] = true
-			famEnv := env{}
-			for k, val := range en {
-				famEnv[k] = val
-			}
-			famEnv[cp.Param] = v
-			for _, rule := range cp.Rules {
-				if err := expandRule(g, gp, rule, famEnv, typeByName, lim, &edgeCount); err != nil {
-					return nil, err
-				}
+			c.frame[param] = v
+			if err := c.expand(gp, rules); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -212,35 +194,40 @@ func (prog *Program) Compile(bindings map[string]int, lim Limits) (*Compiled, er
 			continue
 		}
 		if ep.AtType == "" {
-			c, err := eval(ep.Cost, en)
+			cost, err := c.eval(ep.Cost)
 			if err != nil {
 				return nil, err
 			}
-			g.AddExecPhase(ep.Name, float64(c))
+			g.AddExecPhase(ep.Name, float64(cost))
 			continue
 		}
 		// Per-task cost over one nodetype; other tasks cost 0.
-		info := typeByName[ep.AtType]
+		info := c.nodeType(ep.AtType)
+		if info == nil {
+			return nil, fmt.Errorf("larcs: undeclared nodetype %q in cost 'at'", ep.AtType)
+		}
+		if len(ep.At) > len(info.Lo) {
+			return nil, fmt.Errorf("larcs: nodetype %q has %d dimension(s), cost 'at' has %d variable(s)",
+				ep.AtType, len(info.Lo), len(ep.At))
+		}
+		at := len(c.names)
+		for _, name := range ep.At {
+			c.bind(name)
+		}
+		cost := c.lower(ep.Cost)
+		c.unbind(len(ep.At))
 		gp := g.AddExecPhase(ep.Name, 0)
 		gp.Cost = make([]float64, total)
+		// Tasks of a nodetype are numbered row-major, the order
+		// increment walks the index box in.
 		idx := append([]int(nil), info.Lo...)
-		for {
-			local := env{}
-			for k, v := range en {
-				local[k] = v
-			}
-			for d, name := range ep.At {
-				local[name] = idx[d]
-			}
-			c, err := eval(ep.Cost, local)
+		for id := info.Offset; ; id++ {
+			copy(c.frame[at:at+len(ep.At)], idx)
+			v, err := cost(c.frame)
 			if err != nil {
 				return nil, err
 			}
-			id, err := info.TaskID(idx)
-			if err != nil {
-				return nil, err
-			}
-			gp.Cost[id] = float64(c)
+			gp.Cost[id] = float64(v)
 			if !increment(idx, info.Lo, info.Hi) {
 				break
 			}
@@ -251,7 +238,7 @@ func (prog *Program) Compile(bindings map[string]int, lim Limits) (*Compiled, er
 	var ground phase.Expr
 	if prog.PhaseExpr != nil {
 		var err error
-		ground, err = groundPExpr(prog.PhaseExpr, en, commNames)
+		ground, err = c.lowerPExpr(prog.PhaseExpr, commNames)(c.frame)
 		if err != nil {
 			return nil, err
 		}
@@ -265,85 +252,281 @@ func (prog *Program) Compile(bindings map[string]int, lim Limits) (*Compiled, er
 		Bindings:  bindings,
 		Graph:     g,
 		Phases:    ground,
-		NodeTypes: infos,
+		NodeTypes: c.infos,
 	}, nil
 }
 
-// expandRule iterates the rule's quantifiers and emits edges.
-func expandRule(g *graph.TaskGraph, gp *graph.CommPhase, rule CommRule, en env,
-	types map[string]*NodeTypeInfo, lim Limits, edgeCount *int) error {
-	local := env{}
-	for k, v := range en {
-		local[k] = v
-	}
-	var rec func(d int) error
-	rec = func(d int) error {
-		if d < len(rule.Vars) {
-			lo, err := eval(rule.Ranges[d].Lo, local)
-			if err != nil {
-				return err
-			}
-			hi, err := eval(rule.Ranges[d].Hi, local)
-			if err != nil {
-				return err
-			}
-			for v := lo; v <= hi; v++ {
-				local[rule.Vars[d]] = v
-				if err := rec(d + 1); err != nil {
-					return err
-				}
-			}
-			delete(local, rule.Vars[d])
-			return nil
-		}
-		if rule.Guard != nil {
-			ok, err := eval(rule.Guard, local)
-			if err != nil {
-				return err
-			}
-			if ok == 0 {
-				return nil
-			}
-		}
-		from, err := resolveRef(rule.From, local, types)
-		if err != nil {
-			return err
-		}
-		to, err := resolveRef(rule.To, local, types)
-		if err != nil {
-			return err
-		}
-		vol := 1
-		if rule.Volume != nil {
-			vol, err = eval(rule.Volume, local)
-			if err != nil {
-				return err
-			}
-			if vol < 0 {
-				return fmt.Errorf("larcs: negative volume %d in phase %q", vol, gp.Name)
-			}
-		}
-		*edgeCount++
-		if *edgeCount > lim.MaxEdges {
-			return fmt.Errorf("larcs: program exceeds edge limit %d", lim.MaxEdges)
-		}
-		g.AddEdge(gp, from, to, float64(vol))
-		return nil
-	}
-	return rec(0)
+// compiler is one Compile call's state: the scope and its frame, the
+// evaluated nodetypes, and the edge budget.
+type compiler struct {
+	scope
+	infos    []NodeTypeInfo
+	maxEdges int
+	edges    int // edges emitted so far, across all phases
 }
 
-func resolveRef(ref NodeRef, en env, types map[string]*NodeTypeInfo) (int, error) {
-	info := types[ref.Type]
-	idx := make([]int, len(ref.Idx))
+// eval lowers e and evaluates it once against the current frame.
+func (c *compiler) eval(e Expr) (int, error) { return c.lower(e)(c.frame) }
+
+// nodeType returns the nodetype named name, the last one if hand-built
+// programs declare it twice, or nil.
+func (c *compiler) nodeType(name string) *NodeTypeInfo {
+	for i := len(c.infos) - 1; i >= 0; i-- {
+		if c.infos[i].Name == name {
+			return &c.infos[i]
+		}
+	}
+	return nil
+}
+
+// loweredRule is a CommRule over frame slots: a quantifier per variable,
+// then an optional guard, the two endpoints and an optional volume.
+type loweredRule struct {
+	quant    []quantifier
+	guard    evalFn // nil: every combination emits an edge
+	from, to loweredRef
+	volume   evalFn // nil: volume 1
+	// sized is set when the edge count is the product of the range
+	// extents: there is no guard, and no range reads a quantifier.
+	sized bool
+}
+
+// quantifier binds one rule variable's slot to each value of lo..hi.
+type quantifier struct {
+	slot   int
+	lo, hi evalFn
+}
+
+// loweredRef resolves one NodeRef: its nodetype is looked up once, and
+// one index buffer is reused by every evaluation.
+type loweredRef struct {
+	typ  string
+	info *NodeTypeInfo // nil for an undeclared nodetype
+	idx  []operand
+	buf  []int
+}
+
+func (c *compiler) lowerRules(rules []CommRule) []loweredRule {
+	out := make([]loweredRule, len(rules))
+	for i, rule := range rules {
+		r := &out[i]
+		base := len(c.names)
+		c.deepest = -1
+		r.quant = make([]quantifier, len(rule.Vars))
+		for d, v := range rule.Vars {
+			// A range is lowered before its own variable is bound, so
+			// it sees only the enclosing quantifiers.
+			q := &r.quant[d]
+			q.lo, q.hi = c.lower(rule.Ranges[d].Lo), c.lower(rule.Ranges[d].Hi)
+			q.slot = c.bind(v)
+		}
+		r.sized = rule.Guard == nil && c.deepest < base
+		if rule.Guard != nil {
+			r.guard = c.lower(rule.Guard)
+		}
+		r.from, r.to = c.lowerRef(rule.From), c.lowerRef(rule.To)
+		if rule.Volume != nil {
+			r.volume = c.lower(rule.Volume)
+		}
+		c.unbind(len(rule.Vars))
+	}
+	return out
+}
+
+func (c *compiler) lowerRef(ref NodeRef) loweredRef {
+	lr := loweredRef{
+		typ:  ref.Type,
+		info: c.nodeType(ref.Type),
+		idx:  make([]operand, len(ref.Idx)),
+		buf:  make([]int, len(ref.Idx)),
+	}
 	for d, e := range ref.Idx {
-		v, err := eval(e, en)
+		lr.idx[d] = c.operand(e)
+	}
+	return lr
+}
+
+// task evaluates the reference's indices and returns its task id.
+func (r *loweredRef) task(f []int) (int, error) {
+	for d := range r.idx {
+		v, err := r.idx[d].get(f)
 		if err != nil {
 			return 0, err
 		}
-		idx[d] = v
+		r.buf[d] = v
 	}
-	return info.TaskID(idx)
+	if r.info == nil {
+		return 0, fmt.Errorf("larcs: undeclared nodetype %q", r.typ)
+	}
+	return r.info.TaskID(r.buf)
+}
+
+// expand emits the edges of one phase (one family member) in rule
+// order. The edge slice is sized up front from the rules whose count is
+// known, capped at the remaining edge budget so that no program
+// allocates ahead of the limit check.
+func (c *compiler) expand(gp *graph.CommPhase, rules []loweredRule) error {
+	want := 0
+	for i := range rules {
+		want += rules[i].count(c.frame, c.maxEdges-c.edges-want)
+	}
+	if want > 0 {
+		gp.Edges = make([]graph.Edge, 0, want)
+	}
+	for i := range rules {
+		if err := c.run(gp, &rules[i], 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// count returns how many edges r emits, at most budget, or 0 when that
+// is not known up front: r is not sized, or a range bound fails to
+// evaluate (the expansion reports the failure in its turn).
+func (r *loweredRule) count(f []int, budget int) int {
+	if !r.sized || budget <= 0 {
+		return 0
+	}
+	n := 1
+	for _, q := range r.quant {
+		lo, err := q.lo(f)
+		if err != nil {
+			return 0
+		}
+		hi, err := q.hi(f)
+		if err != nil {
+			return 0
+		}
+		if hi < lo {
+			return 0
+		}
+		// hi-lo is the extent minus one, exact as unsigned.
+		if ext := uint(hi - lo); ext >= uint(budget/n) {
+			n = budget
+		} else {
+			n *= int(ext) + 1
+		}
+	}
+	return n
+}
+
+// run iterates quantifier d of r and everything inside it.
+func (c *compiler) run(gp *graph.CommPhase, r *loweredRule, d int) error {
+	if d == len(r.quant) {
+		return c.emit(gp, r)
+	}
+	q := &r.quant[d]
+	lo, err := q.lo(c.frame)
+	if err != nil {
+		return err
+	}
+	hi, err := q.hi(c.frame)
+	if err != nil {
+		return err
+	}
+	for v := lo; v <= hi; v++ {
+		c.frame[q.slot] = v
+		if err := c.run(gp, r, d+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emit evaluates the guard, endpoints and volume at the current
+// quantifier values and appends the edge.
+func (c *compiler) emit(gp *graph.CommPhase, r *loweredRule) error {
+	f := c.frame
+	if r.guard != nil {
+		ok, err := r.guard(f)
+		if err != nil {
+			return err
+		}
+		if ok == 0 {
+			return nil
+		}
+	}
+	from, err := r.from.task(f)
+	if err != nil {
+		return err
+	}
+	to, err := r.to.task(f)
+	if err != nil {
+		return err
+	}
+	vol := 1
+	if r.volume != nil {
+		vol, err = r.volume(f)
+		if err != nil {
+			return err
+		}
+		if vol < 0 {
+			return fmt.Errorf("larcs: negative volume %d in phase %q", vol, gp.Name)
+		}
+	}
+	c.edges++
+	if c.edges > c.maxEdges {
+		return fmt.Errorf("larcs: program exceeds edge limit %d", c.maxEdges)
+	}
+	// TaskID bounds both endpoints and vol >= 0, which is all AddEdge
+	// would check.
+	gp.Edges = append(gp.Edges, graph.Edge{From: from, To: to, Weight: float64(vol)})
+	return nil
+}
+
+// taskLabels renders every task's label into one backing string: bare
+// numbers for a single 1-D nodetype (the paper's labels), name(i,j,...)
+// otherwise. The text is what fmt.Sprint and fmt.Sprintf("%s(%s)") give.
+func taskLabels(infos []NodeTypeInfo, total int) []string {
+	bare := len(infos) == 1 && len(infos[0].Lo) == 1
+	var num [20]byte
+	size, dims := 0, 0
+	for i := range infos {
+		info := &infos[i]
+		per := 0
+		if !bare {
+			per = len(info.Name) + 2 + len(info.Lo) // name, parens, commas
+		}
+		for d := range info.Lo {
+			per += max(len(strconv.AppendInt(num[:0], int64(info.Lo[d]), 10)),
+				len(strconv.AppendInt(num[:0], int64(info.Hi[d]), 10)))
+		}
+		size += per * info.Size
+		dims = max(dims, len(info.Lo))
+	}
+	// Each label is a substring of the builder's buffer; bytes a
+	// strings.Builder has written never change, so the substrings stay
+	// valid even if the size estimate were short and the buffer moved.
+	var sb strings.Builder
+	sb.Grow(size)
+	labels := make([]string, total)
+	idx := make([]int, 0, dims)
+	t := 0
+	for i := range infos {
+		info := &infos[i]
+		idx = append(idx[:0], info.Lo...)
+		for k := 0; k < info.Size; k++ {
+			start := sb.Len()
+			if !bare {
+				sb.WriteString(info.Name)
+				sb.WriteByte('(')
+			}
+			for d, v := range idx {
+				if d > 0 {
+					sb.WriteByte(',')
+				}
+				sb.Write(strconv.AppendInt(num[:0], int64(v), 10))
+			}
+			if !bare {
+				sb.WriteByte(')')
+			}
+			labels[t] = sb.String()[start:]
+			t++
+			increment(idx, info.Lo, info.Hi)
+		}
+	}
+	return labels
 }
 
 // increment advances idx through the box [lo, hi] row-major; it returns
@@ -359,89 +542,122 @@ func increment(idx, lo, hi []int) bool {
 	return false
 }
 
-// groundPExpr evaluates repetition counts, family indices, and
-// parameterized for-loops to produce a ground phase expression.
-func groundPExpr(e PExpr, en env, commNames map[string]bool) (phase.Expr, error) {
+// groundFn is a lowered phase expression: it evaluates repetition
+// counts, family indices and phase-loop bounds over the frame and
+// returns the ground phase expression.
+type groundFn func(frame []int) (phase.Expr, error)
+
+// lowerPExpr lowers a parametric phase expression; commNames holds
+// every expanded communication phase name.
+func (sc *scope) lowerPExpr(e PExpr, commNames map[string]bool) groundFn {
 	switch v := e.(type) {
 	case PIdle:
-		return phase.Idle{}, nil
+		return func([]int) (phase.Expr, error) { return phase.Idle{}, nil }
 	case PRef:
 		if v.Index != nil {
-			ix, err := eval(v.Index, en)
-			if err != nil {
-				return nil, err
+			index := sc.lower(v.Index)
+			return func(f []int) (phase.Expr, error) {
+				ix, err := index(f)
+				if err != nil {
+					return nil, err
+				}
+				name := fmt.Sprintf("%s(%d)", v.Name, ix)
+				if !commNames[name] {
+					return nil, fmt.Errorf("larcs: phase %s is outside the family's range", name)
+				}
+				return phase.Ref{Name: name, Comm: true}, nil
 			}
-			name := fmt.Sprintf("%s(%d)", v.Name, ix)
-			if !commNames[name] {
-				return nil, fmt.Errorf("larcs: phase %s is outside the family's range", name)
-			}
-			return phase.Ref{Name: name, Comm: true}, nil
 		}
-		return phase.Ref{Name: v.Name, Comm: commNames[v.Name]}, nil
+		var ref phase.Expr = phase.Ref{Name: v.Name, Comm: commNames[v.Name]}
+		return func([]int) (phase.Expr, error) { return ref, nil }
 	case PSeq:
-		parts := make([]phase.Expr, len(v.Parts))
-		for i, p := range v.Parts {
-			g, err := groundPExpr(p, en, commNames)
+		parts := sc.lowerPExprs(v.Parts, commNames)
+		return func(f []int) (phase.Expr, error) {
+			ps, err := groundAll(parts, f)
 			if err != nil {
 				return nil, err
 			}
-			parts[i] = g
+			return phase.Seq{Parts: ps}, nil
 		}
-		return phase.Seq{Parts: parts}, nil
 	case PPar:
-		parts := make([]phase.Expr, len(v.Parts))
-		for i, p := range v.Parts {
-			g, err := groundPExpr(p, en, commNames)
+		parts := sc.lowerPExprs(v.Parts, commNames)
+		return func(f []int) (phase.Expr, error) {
+			ps, err := groundAll(parts, f)
 			if err != nil {
 				return nil, err
 			}
-			parts[i] = g
+			return phase.Par{Parts: ps}, nil
 		}
-		return phase.Par{Parts: parts}, nil
 	case PRep:
-		body, err := groundPExpr(v.Body, en, commNames)
-		if err != nil {
-			return nil, err
-		}
-		count, err := eval(v.Count, en)
-		if err != nil {
-			return nil, err
-		}
-		if count < 0 {
-			return nil, fmt.Errorf("larcs: repetition count %s evaluates to %d", v.Count, count)
-		}
-		return phase.Rep{Body: body, Count: count}, nil
-	case PForall:
-		lo, err := eval(v.Range.Lo, en)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := eval(v.Range.Hi, en)
-		if err != nil {
-			return nil, err
-		}
-		var parts []phase.Expr
-		for val := lo; val <= hi; val++ {
-			inner := env{}
-			for k, x := range en {
-				inner[k] = x
-			}
-			inner[v.Var] = val
-			g, err := groundPExpr(v.Body, inner, commNames)
+		body, count := sc.lowerPExpr(v.Body, commNames), sc.lower(v.Count)
+		return func(f []int) (phase.Expr, error) {
+			b, err := body(f)
 			if err != nil {
 				return nil, err
 			}
-			parts = append(parts, g)
+			n, err := count(f)
+			if err != nil {
+				return nil, err
+			}
+			if n < 0 {
+				return nil, fmt.Errorf("larcs: repetition count %s evaluates to %d", v.Count, n)
+			}
+			return phase.Rep{Body: b, Count: n}, nil
 		}
-		switch len(parts) {
-		case 0:
-			return phase.Idle{}, nil
-		case 1:
-			return parts[0], nil
+	case PForall:
+		lo, hi := sc.lower(v.Range.Lo), sc.lower(v.Range.Hi)
+		s := sc.bind(v.Var)
+		body := sc.lowerPExpr(v.Body, commNames)
+		sc.unbind(1)
+		return func(f []int) (phase.Expr, error) {
+			a, err := lo(f)
+			if err != nil {
+				return nil, err
+			}
+			b, err := hi(f)
+			if err != nil {
+				return nil, err
+			}
+			var parts []phase.Expr
+			for val := a; val <= b; val++ {
+				f[s] = val
+				g, err := body(f)
+				if err != nil {
+					return nil, err
+				}
+				parts = append(parts, g)
+			}
+			switch len(parts) {
+			case 0:
+				return phase.Idle{}, nil
+			case 1:
+				return parts[0], nil
+			}
+			return phase.Seq{Parts: parts}, nil
 		}
-		return phase.Seq{Parts: parts}, nil
 	}
-	return nil, fmt.Errorf("larcs: unknown phase expression %T", e)
+	return func([]int) (phase.Expr, error) { return nil, fmt.Errorf("larcs: unknown phase expression %T", e) }
+}
+
+func (sc *scope) lowerPExprs(es []PExpr, commNames map[string]bool) []groundFn {
+	out := make([]groundFn, len(es))
+	for i, e := range es {
+		out[i] = sc.lowerPExpr(e, commNames)
+	}
+	return out
+}
+
+// groundAll grounds each part in order, stopping at the first error.
+func groundAll(parts []groundFn, f []int) ([]phase.Expr, error) {
+	out := make([]phase.Expr, len(parts))
+	for i, p := range parts {
+		g, err := p(f)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = g
+	}
+	return out, nil
 }
 
 // DescriptionSize returns the size in bytes of the LaRCS source after

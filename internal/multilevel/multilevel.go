@@ -174,7 +174,7 @@ func initialPartition(coarsest *level, opt Options) ([]int32, error) {
 // undirected pair emitted once), the form MWM-Contract and NN-Embed
 // consume.
 func levelGraph(name string, lv *level) *graph.TaskGraph {
-	cg := graph.NewCompact(name, lv.n)
+	cg := graph.New(name, lv.n)
 	p := cg.AddCommPhase("contracted")
 	p.Edges = make([]graph.Edge, 0, len(lv.adj)/2)
 	for v := 0; v < lv.n; v++ {
@@ -255,7 +255,7 @@ func clusterGraph(g *graph.TaskGraph, part []int, k int) *graph.TaskGraph {
 			acc[a*k+b] += c.W[i]
 		}
 	}
-	cg := graph.NewCompact("clusters", k)
+	cg := graph.New("clusters", k)
 	p := cg.AddCommPhase("contracted")
 	for a := 0; a < k; a++ {
 		for b := a + 1; b < k; b++ {

@@ -121,7 +121,9 @@ type MapResponse struct {
 	Fingerprint string `json:"fingerprint"`
 	// Cache reports how the result was obtained: "miss" (computed),
 	// "hit" (served from cache), "shared" (deduplicated onto a
-	// concurrent identical computation), or "bypass" (nocache).
+	// concurrent identical computation), "bypass" (nocache), or
+	// "degraded" (computed, but a stage fell back to a cheaper
+	// algorithm under its deadline, so the result was not stored).
 	Cache string `json:"cache"`
 	// Checked is set when the post-condition oracle ran for this
 	// response; Violations lists what it found (empty on success —
@@ -385,11 +387,12 @@ func (s *Server) compute(ctx context.Context, r *resolved) (*cacheEntry, error) 
 		return nil, &httpError{status: http.StatusInternalServerError, msg: fmt.Sprintf("encode: %v", err)}
 	}
 	return &cacheEntry{
-		key:  r.key,
-		resp: resp,
-		m:    m,
-		fp:   fp,
-		size: entrySize(len(body), fp, m),
+		key:      r.key,
+		resp:     resp,
+		m:        m,
+		fp:       fp,
+		size:     entrySize(len(body), fp, m),
+		degraded: res.Degraded,
 	}, nil
 }
 

@@ -59,6 +59,10 @@ type cacheEntry struct {
 	m    *mapping.Mapping
 	fp   string // full check.Fingerprint at insert time
 	size int64
+	// degraded marks a computed result that core.Map downgraded under a
+	// stage deadline: it depends on machine load, so it is answered but
+	// never cached or persisted.
+	degraded bool
 }
 
 // hashHex is the hex SHA-256 of s — the same digest FingerprintHash

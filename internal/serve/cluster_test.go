@@ -324,11 +324,12 @@ func TestBatchStreamsSSE(t *testing.T) {
 func TestBatchClientDisconnectCancelsRemainingWork(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, RequestTimeout: time.Minute})
 	var calls atomic.Int64
-	canceled := make(chan struct{}, 8)
+	parked, canceled := make(chan struct{}, 8), make(chan struct{}, 8)
 	s.computeHook = func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			return nil // first compute proceeds, producing one stream line
 		}
+		parked <- struct{}{}
 		<-ctx.Done() // later computes block until the client goes away
 		canceled <- struct{}{}
 		return ctx.Err()
@@ -354,6 +355,18 @@ func TestBatchClientDisconnectCancelsRemainingWork(t *testing.T) {
 	var first BatchItem
 	if err := json.Unmarshal(sc.Bytes(), &first); err != nil {
 		t.Fatal(err)
+	}
+	// With two workers the third item enters the pool only after the
+	// first compute releases its worker. Disconnect once both blocked
+	// computes have parked in the hook: earlier, the third item could
+	// still be waiting for admission and would fail there instead.
+	parkDeadline := time.After(10 * time.Second)
+	for got := 0; got < 2; got++ {
+		select {
+		case <-parked:
+		case <-parkDeadline:
+			t.Fatalf("only %d of 2 computations reached the compute hook", got)
+		}
 	}
 	resp.Body.Close()
 

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -230,4 +231,60 @@ func TestCacheConcurrentPutEvictRestored(t *testing.T) {
 
 func keyOf(g, i int) string {
 	return "k" + string(rune('a'+g)) + "-" + string(rune('0'+(i%10)))
+}
+
+// TestDegradedResultIsNeverCached pins that a stage-deadline downgrade
+// is an answer for its own request only. A 1ns server stage ceiling
+// expires before MWM-Contract's first check, so every computation on
+// the first server degrades to greedy contraction: each is answered
+// "degraded", none is cached or persisted. After a restart without the
+// ceiling, the first plain request is a miss, not a warm hit on the
+// degraded mapping, and its fingerprint equals the nocache one.
+func TestDegradedResultIsNeverCached(t *testing.T) {
+	dir := t.TempDir()
+	plain := MapRequest{Workload: "jacobi", Bindings: map[string]int{"n": 12}, Net: "hypercube:3",
+		Options: &MapRequestOptions{Algo: "arbitrary"}}
+	bypass := plain
+	bypass.Options = &MapRequestOptions{Algo: "arbitrary", NoCache: true}
+
+	s1, ts1 := newPersistentServer(t, dir, Config{StageTimeout: time.Nanosecond})
+	var degraded string
+	for i, req := range []MapRequest{plain, plain, bypass} {
+		status, resp := postMap(t, ts1.URL, req, "")
+		if status != 200 || resp.Cache != "degraded" {
+			t.Fatalf("request %d on the 1ns server: %d %q, want 200 degraded", i, status, resp.Cache)
+		}
+		if !strings.Contains(strings.Join(resp.Trail, "\n"), "downgrading to greedy contraction") {
+			t.Errorf("request %d: trail does not record the downgrade: %v", i, resp.Trail)
+		}
+		degraded = resp.Fingerprint
+	}
+	if hits, items := s1.Stats().CacheHits.Load(), s1.cache.len(); hits != 0 || items != 0 {
+		t.Errorf("degraded results reached the cache: %d hits, %d items", hits, items)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w := s1.Stats().PersistWrites.Load(); w != 0 {
+		t.Errorf("%d degraded results persisted", w)
+	}
+
+	s2, ts2 := newPersistentServer(t, dir, Config{})
+	if got := s2.Stats().StoreRecovered.Load(); got != 0 {
+		t.Errorf("restart warm-loaded %d records", got)
+	}
+	status, miss := postMap(t, ts2.URL, plain, "")
+	if status != 200 || miss.Cache != "miss" {
+		t.Fatalf("plain request after restart: %d %q, want 200 miss", status, miss.Cache)
+	}
+	status, full := postMap(t, ts2.URL, bypass, "")
+	if status != 200 || full.Cache != "bypass" {
+		t.Fatalf("nocache request: %d %q, want 200 bypass", status, full.Cache)
+	}
+	if miss.Fingerprint != full.Fingerprint {
+		t.Errorf("plain fingerprint %s differs from nocache %s", miss.Fingerprint, full.Fingerprint)
+	}
+	if degraded == full.Fingerprint {
+		t.Errorf("greedy and full MWM-Contract agree on this input (%s); it cannot show a degraded entry being served", degraded)
+	}
 }

@@ -544,8 +544,7 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 			return MapResponse{}, asHTTPError(err)
 		}
 		entry = e
-		s.cache.put(e)
-		s.persist(e)
+		s.keep(e)
 	} else {
 		// The cache lookup happens inside the flight, so each request
 		// performs exactly one lookup (one hit or miss count) and
@@ -562,8 +561,7 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 			if cerr != nil {
 				return nil, cerr
 			}
-			s.cache.put(e)
-			s.persist(e)
+			s.keep(e)
 			return e, nil
 		})
 		if err != nil {
@@ -581,6 +579,9 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 		}
 	}
 
+	if entry.degraded {
+		how = "degraded"
+	}
 	resp := entry.resp // struct copy; slices shared read-only
 	resp.Cache = how
 	if r.opts.Check {
@@ -630,6 +631,17 @@ func (s *Server) proxyToOwner(ctx context.Context, req *MapRequest, r *resolved,
 	resp.Proxied = true
 	s.reg.ProxiedOut.Add(1)
 	return resp, true
+}
+
+// keep caches and persists a computed entry, unless it is degraded:
+// a stage-deadline downgrade is an answer for this request only, and
+// keeping it would serve equal requests a load-dependent fingerprint.
+func (s *Server) keep(e *cacheEntry) {
+	if e.degraded {
+		return
+	}
+	s.cache.put(e)
+	s.persist(e)
 }
 
 // computeAdmitted passes a computation through admission control and the
