@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz lint lint-baseline check alloc bench-multilevel cover smoke-serve chaos smoke-cluster
+.PHONY: build test vet race fuzz lint lint-baseline check alloc cover smoke-serve chaos smoke-cluster
 
 build:
 	$(GO) build ./...
@@ -43,34 +43,18 @@ lint-baseline:
 	$(GO) run ./tools/analyzers -write-baseline $(LINT_BASELINE) ./...
 
 # Allocation-budget gates (alloc_test.go): allocs/op ceilings on the
-# hot paths and on the whole pipeline at 1, 2 and 4 workers. A separate
-# non-race pass — the gates skip themselves under the race detector,
-# whose instrumentation allocates. See docs/TESTING.md.
+# hot paths and on the whole pipeline at 1, 2 and 4 workers, plus the
+# multilevel and recursive-bisection scale rows (scale_test.go: 1e5 and
+# 1e6 tasks onto the 512-PE hierarchy, with TotalIPC and tasks-per-
+# processor ceilings beside allocs/op). A separate non-race pass — the
+# gates skip themselves under the race detector, whose instrumentation
+# allocates. See docs/TESTING.md.
 alloc:
-	$(GO) test -count=1 -run='TestAllocBudget' .
+	$(GO) test -count=1 -run='TestAllocBudget|TestScale(Multilevel|Bisect)Million' .
 
 # The CI gate: static checks, the full suite under the race detector,
 # and the allocation budgets.
 check: lint race alloc
-
-# Multilevel scale benchmark (docs/MULTILEVEL.md): coarsen/map/uncoarsen
-# and the recursive-bisection baseline at 1e5 and 1e6 tasks onto the
-# 512-PE hierarchy, archived as benchjson. While the committed
-# BENCH_multilevel.json baseline exists the run is gated against it
-# (>10% allocs/op growth on any sub-benchmark fails) and the fresh
-# numbers land in BENCH_multilevel.new.json; without a baseline the
-# target writes BENCH_multilevel.json directly so it can be committed.
-MLBENCHTIME ?= 1x
-bench-multilevel:
-	$(GO) test -run='^$$' -bench='BenchmarkMultilevel|BenchmarkRecursiveBisection' \
-		-benchmem -benchtime=$(MLBENCHTIME) -count=1 -timeout=30m . | tee BENCH_multilevel.txt
-	@if [ -f BENCH_multilevel.json ]; then \
-		$(GO) run ./tools/benchjson -baseline BENCH_multilevel.json BENCH_multilevel.txt > BENCH_multilevel.new.json && \
-		echo "wrote BENCH_multilevel.new.json (baseline BENCH_multilevel.json unchanged)"; \
-	else \
-		$(GO) run ./tools/benchjson BENCH_multilevel.txt > BENCH_multilevel.json && \
-		echo "wrote BENCH_multilevel.json (new baseline — commit it with git add -f)"; \
-	fi
 
 # End-to-end smoke test of the mapping daemon: build, serve on a random
 # port, cold-then-warm /v1/map (miss then hit), graceful SIGTERM drain.

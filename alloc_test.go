@@ -42,9 +42,9 @@ func allocWorkload(t testing.TB) (*larcs.Compiled, *topology.Network) {
 	return &larcs.Compiled{Program: &larcs.Program{Name: g.Name}, Graph: g}, topology.Hypercube(4)
 }
 
-// gate runs fn under testing.AllocsPerRun and fails if the average
-// allocation count exceeds ceiling.
-func gate(t *testing.T, name string, ceiling float64, fn func()) {
+// skipAllocGate skips an allocation gate under the race detector and in
+// -short mode.
+func skipAllocGate(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -52,6 +52,13 @@ func gate(t *testing.T, name string, ceiling float64, fn func()) {
 	if testing.Short() {
 		t.Skip("allocation gates skipped in -short mode")
 	}
+}
+
+// gate runs fn under testing.AllocsPerRun and fails if the average
+// allocation count exceeds ceiling.
+func gate(t *testing.T, name string, ceiling float64, fn func()) {
+	t.Helper()
+	skipAllocGate(t)
 	got := testing.AllocsPerRun(10, fn)
 	t.Logf("%s: %.0f allocs/op (ceiling %.0f)", name, got, ceiling)
 	if got > ceiling {
@@ -61,15 +68,14 @@ func gate(t *testing.T, name string, ceiling float64, fn func()) {
 }
 
 func TestAllocBudgetGraphBuild(t *testing.T) {
-	gate(t, "graph build + CSR warm", 700, func() {
+	gate(t, "graph build + CSR", 700, func() {
 		g := gen.TaskGraph(gen.Rand(7), gen.GraphSize{Tasks: 160, Phases: 8, Density: 0.15, MaxWeight: 8})
-		g.WarmCSR()
+		g.CSR()
 	})
 }
 
 func TestAllocBudgetCollapsedEntries(t *testing.T) {
 	c, _ := allocWorkload(t)
-	c.Graph.WarmCSR()
 	gate(t, "CollapsedEntries(1)", 8, func() {
 		if len(c.Graph.CollapsedEntries(1)) == 0 {
 			t.Fatal("no entries")
@@ -79,7 +85,6 @@ func TestAllocBudgetCollapsedEntries(t *testing.T) {
 
 func TestAllocBudgetContract(t *testing.T) {
 	c, net := allocWorkload(t)
-	c.Graph.WarmCSR()
 	opt := contract.Options{Processors: net.N, Parallelism: 1}
 	gate(t, "MWMContract", 900, func() {
 		if _, err := contract.MWMContract(c.Graph, opt); err != nil {
@@ -90,7 +95,6 @@ func TestAllocBudgetContract(t *testing.T) {
 
 func TestAllocBudgetRoute(t *testing.T) {
 	_, net := allocWorkload(t)
-	net.WarmDistances()
 	r := gen.Rand(11)
 	pairs := make([][2]int, 96)
 	for i := range pairs {
@@ -106,13 +110,13 @@ func TestAllocBudgetRoute(t *testing.T) {
 // TestAllocBudgetDistance holds Distance to zero allocations: it sits
 // on NN-Embed's and MM-Route's innermost loops, so one allocation per
 // call multiplies into millions per request. Every analytic family is
-// covered, hier included, plus a warmed degraded view (table lookups).
+// covered, hier included, plus a degraded view (table lookups; the
+// table is built by AllocsPerRun's warm-up call).
 func TestAllocBudgetDistance(t *testing.T) {
 	degraded, err := topology.Hierarchy(2, 3, 4).Masked([]int{5}, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded.WarmDistances()
 	for _, net := range []*topology.Network{
 		topology.Mesh(4, 5), topology.Torus(4, 5), topology.Hypercube(5),
 		topology.Complete(9), topology.Star(9), topology.Ring(11),
@@ -188,7 +192,6 @@ func TestAllocBudgetFingerprint(t *testing.T) {
 
 func TestAllocBudgetMultilevelContract(t *testing.T) {
 	g := gen.TaskGraph(gen.Rand(7), gen.GraphSize{Tasks: 2000, Phases: 4, Density: 0.01, MaxWeight: 8})
-	g.WarmCSR()
 	opt := multilevel.Options{Processors: 64, Parallelism: 1}
 	if _, _, err := multilevel.Contract(g, opt); err != nil {
 		t.Fatal(err)
@@ -256,7 +259,6 @@ func TestAllocBudgetDetect(t *testing.T) {
 		{"binomial(6)", gen.FromNetwork(topology.BinomialTree(6)), canned.FamilyBinomial, 180},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.g.WarmCSR()
 			gate(t, "canned.Detect", tc.ceiling, func() {
 				if d := canned.Detect(tc.g); d == nil || d.Family != tc.family {
 					t.Fatalf("detected %v, want %s", d, tc.family)

@@ -13,19 +13,14 @@ import (
 	"oregami/internal/topology"
 )
 
-// NNEmbed assigns each node of the cluster graph cg (at most net.NumLive()
-// nodes) to a distinct live processor. The heaviest-communicating pair is
-// placed on adjacent processors first; thereafter the unplaced cluster
-// with the largest total traffic to already-placed clusters is placed on
-// the free processor minimizing the traffic-weighted distance to its
-// placed partners. On a degraded network, failed processors are never
-// used.
-func NNEmbed(cg *graph.TaskGraph, net *topology.Network) ([]int, error) {
-	return NNEmbedCtx(context.Background(), cg, net)
-}
-
-// NNEmbedCtx is NNEmbed with cooperative cancellation: the placement loop
-// checks ctx between clusters and aborts with ctx.Err() when cancelled.
+// NNEmbedCtx runs NN-Embed: it assigns each node of the cluster graph cg
+// (at most net.NumLive() nodes) to a distinct live processor. The
+// heaviest-communicating pair is placed on adjacent processors first;
+// thereafter the unplaced cluster with the largest total traffic to
+// already-placed clusters is placed on the free processor minimizing the
+// traffic-weighted distance to its placed partners. On a degraded
+// network, failed processors are never used. The placement loop checks
+// ctx between clusters and aborts with ctx.Err() when cancelled.
 func NNEmbedCtx(ctx context.Context, cg *graph.TaskGraph, net *topology.Network) ([]int, error) {
 	k := cg.NumTasks
 	live := net.NumLive()

@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -37,7 +38,7 @@ func checkInjective(t *testing.T, place []int, n int) {
 func TestNNEmbedRingOnRing(t *testing.T) {
 	cg := ringCluster(8)
 	net := topology.Ring(8)
-	place, err := NNEmbed(cg, net)
+	place, err := NNEmbedCtx(context.Background(), cg, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestNNEmbedHeaviestPairAdjacent(t *testing.T) {
 	g.AddEdge(p, 2, 3, 100)
 	g.AddEdge(p, 0, 1, 1)
 	net := topology.Mesh(2, 4)
-	place, err := NNEmbed(g, net)
+	place, err := NNEmbedCtx(context.Background(), g, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestNNEmbedBeatsRandomOnAverage(t *testing.T) {
 			}
 		}
 		net := topology.Mesh(4, 4)
-		nn, err := NNEmbed(g, net)
+		nn, err := NNEmbedCtx(context.Background(), g, net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestNNEmbedDisconnectedClusters(t *testing.T) {
 	g := graph.New("iso", 5)
 	g.AddCommPhase("c")
 	net := topology.Linear(6)
-	place, err := NNEmbed(g, net)
+	place, err := NNEmbedCtx(context.Background(), g, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +117,10 @@ func TestNNEmbedDisconnectedClusters(t *testing.T) {
 }
 
 func TestEmbedErrors(t *testing.T) {
-	if _, err := NNEmbed(ringCluster(9), topology.Ring(8)); err == nil {
+	if _, err := NNEmbedCtx(context.Background(), ringCluster(9), topology.Ring(8)); err == nil {
 		t.Error("oversubscription accepted")
 	}
-	if _, err := NNEmbed(graph.New("e", 0), topology.Ring(3)); err == nil {
+	if _, err := NNEmbedCtx(context.Background(), graph.New("e", 0), topology.Ring(3)); err == nil {
 		t.Error("empty cluster graph accepted")
 	}
 	if _, err := Identity(9, topology.Ring(8)); err == nil {
@@ -206,7 +207,7 @@ func TestSwapRefineBeatsNNEmbedSometimes(t *testing.T) {
 			}
 		}
 		net := topology.Hypercube(4)
-		place, err := NNEmbed(g, net)
+		place, err := NNEmbedCtx(context.Background(), g, net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +439,7 @@ func TestNNEmbedMatchesDenseReferee(t *testing.T) {
 			} {
 				name, cg := tc.name, tc.cg
 				want, werr := refNNEmbed(cg, net)
-				got, gerr := NNEmbed(cg, net)
+				got, gerr := NNEmbedCtx(context.Background(), cg, net)
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("seed %d %s %s k=%d: error %v, referee %v", seed, net.Name, name, k, gerr, werr)
 				}

@@ -163,17 +163,16 @@ func buildCSR(n int, entries []CollapsedEntry) *CSR {
 
 // CSR returns the collapsed static graph in flat form, building and
 // caching it on first use. Mutating the graph (AddEdge, AddCommPhase)
-// invalidates the cache. The first call builds lazily and is not safe
-// to race with other CSR/Degree calls; callers about to share the graph
-// across goroutines warm it once, single-threaded, via WarmCSR — the
-// same discipline as topology.WarmDistances.
+// invalidates the cache; mutation must not race with any reader. First
+// calls may race with each other: each builds the same CSR, and every
+// caller gets the one published first.
 func (g *TaskGraph) CSR() *CSR {
-	if g.csr == nil {
-		g.csr = buildCSR(g.NumTasks, g.flatWeights())
+	if c := g.csr.Load(); c != nil {
+		return c
 	}
-	return g.csr
+	c := buildCSR(g.NumTasks, g.flatWeights())
+	if g.csr.CompareAndSwap(nil, c) {
+		return c
+	}
+	return g.csr.Load()
 }
-
-// WarmCSR forces the cached CSR to exist so later concurrent readers
-// never trigger the unsynchronized lazy build.
-func (g *TaskGraph) WarmCSR() { g.CSR() }

@@ -10,7 +10,9 @@ package graph_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"oregami/internal/gen"
@@ -248,7 +250,7 @@ func TestUndirectedMatchesCSR(t *testing.T) {
 func TestCSRCacheInvalidation(t *testing.T) {
 	gen.ForEachSeed(t, 30, func(t *testing.T, seed int64, r *rand.Rand) {
 		g := gen.TaskGraph(r, diffSize(r))
-		g.WarmCSR()
+		g.CSR()
 		// Mutate: new phase plus a duplicated and a fresh edge.
 		p := g.AddCommPhase("extra")
 		a, b := r.Intn(g.NumTasks), r.Intn(g.NumTasks)
@@ -266,4 +268,35 @@ func TestCSRCacheInvalidation(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestConcurrentFirstCSR races the first CSR calls on a fresh graph, the
+// pattern a parallel stage produces when nothing built the CSR first.
+// Run under -race (`make race`); every goroutine must get the one
+// published CSR, equal to the CSR of an identical graph built alone.
+func TestConcurrentFirstCSR(t *testing.T) {
+	size := gen.GraphSize{Tasks: 200, Phases: 4, Density: 0.05, MaxWeight: 8}
+	want := gen.TaskGraph(gen.Rand(3), size).CSR()
+	g := gen.TaskGraph(gen.Rand(3), size)
+	got := make([]*graph.CSR, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[w] = g.CSR()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for w, c := range got {
+		if c != g.CSR() {
+			t.Fatalf("goroutine %d got a CSR other than the published one", w)
+		}
+	}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatal("concurrently built CSR differs from one built alone")
+	}
 }

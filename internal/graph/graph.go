@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Edge is a directed communication edge between two tasks. Weight is the
@@ -52,7 +53,7 @@ type TaskGraph struct {
 	execNames []nameIndex
 
 	// csr caches the flat collapsed static graph; any mutation clears it.
-	csr *CSR
+	csr atomic.Pointer[CSR]
 }
 
 // nameIndex binds a phase name to its position in declaration order.
@@ -136,7 +137,7 @@ func (g *TaskGraph) AddCommPhase(name string) *CommPhase {
 	g.commNames = names
 	p := &CommPhase{Name: name}
 	g.Comm = append(g.Comm, p)
-	g.csr = nil
+	g.csr.Store(nil)
 	return p
 }
 
@@ -178,7 +179,7 @@ func (g *TaskGraph) AddEdge(p *CommPhase, from, to int, weight float64) {
 		panic(fmt.Sprintf("graph: negative edge weight %g", weight))
 	}
 	p.Edges = append(p.Edges, Edge{From: from, To: to, Weight: weight})
-	g.csr = nil
+	g.csr.Store(nil)
 }
 
 // TaskCost returns task v's execution cost in exec phase p.

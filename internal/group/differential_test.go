@@ -116,16 +116,6 @@ func (g *refGroup) ActsRegularly() bool {
 // to the smallest member of X).
 func (g *refGroup) TaskOfElement(i int) int { return g.Elements[i][0] }
 
-// ElementOfTask inverts TaskOfElement; it requires a regular action.
-func (g *refGroup) ElementOfTask(t int) (int, error) {
-	for i, e := range g.Elements {
-		if e[0] == t {
-			return i, nil
-		}
-	}
-	return -1, fmt.Errorf("group: no element maps 0 to %d (action not transitive)", t)
-}
-
 // CyclicSubgroup returns the subgroup generated by element i, as a sorted
 // list of element indices.
 func (g *refGroup) CyclicSubgroup(i int) []int {
@@ -426,13 +416,6 @@ func compareWithReferee(t *testing.T, gens []perm.Perm, maxSize, walkCap int) {
 	for _, p := range append([]perm.Perm{perm.Identity(g.Degree + 1)}, transpositions(g.Degree)...) {
 		if got, want := g.IndexOf(p), ref.IndexOf(p); got != want {
 			t.Fatalf("IndexOf(%v) = %d, referee %d", p, got, want)
-		}
-	}
-	for task := -1; task <= g.Degree; task++ {
-		got, gotErr := g.ElementOfTask(task)
-		want, wantErr := ref.ElementOfTask(task)
-		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("ElementOfTask(%d) = %d, %v; referee %d, %v", task, got, gotErr, want, wantErr)
 		}
 	}
 	var genIdx []int

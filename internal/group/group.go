@@ -14,7 +14,6 @@ package group
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"oregami/internal/perm"
@@ -163,22 +162,6 @@ func (g *Group) ActsRegularly() bool { return g.elemOf != nil }
 // the regular-action bijection g <-> g(x) with x = 0 (the paper fixes x
 // to the smallest member of X).
 func (g *Group) TaskOfElement(i int) int { return g.Elements[i][0] }
-
-// ElementOfTask inverts TaskOfElement; it requires a regular action.
-func (g *Group) ElementOfTask(t int) (int, error) {
-	if g.elemOf != nil {
-		if t >= 0 && t < len(g.elemOf) {
-			return g.elemOf[t], nil
-		}
-	} else {
-		for i, e := range g.Elements {
-			if e[0] == t {
-				return i, nil
-			}
-		}
-	}
-	return -1, fmt.Errorf("group: no element maps 0 to %d (action not transitive)", t)
-}
 
 // CyclicSubgroup returns the subgroup generated by element i, as a sorted
 // list of element indices.

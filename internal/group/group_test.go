@@ -94,14 +94,16 @@ func TestMulInvConsistency(t *testing.T) {
 
 func TestTaskElementBijection(t *testing.T) {
 	g, _ := Generate(broadcastGenerators(t), 8)
-	for tsk := 0; tsk < 8; tsk++ {
-		e, err := g.ElementOfTask(tsk)
-		if err != nil {
-			t.Fatal(err)
+	seen := make([]bool, 8)
+	for e := 0; e < g.Order(); e++ {
+		tsk := g.TaskOfElement(e)
+		if tsk < 0 || tsk >= 8 || seen[tsk] {
+			t.Fatalf("bijection broken at element %d (task %d)", e, tsk)
 		}
-		if g.TaskOfElement(e) != tsk {
-			t.Errorf("bijection broken at task %d", tsk)
-		}
+		seen[tsk] = true
+	}
+	if g.Order() != 8 {
+		t.Errorf("order %d, want one element per task", g.Order())
 	}
 }
 

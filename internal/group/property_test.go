@@ -131,12 +131,13 @@ func TestCayleyGroupActsRegularlyOnGenerated(t *testing.T) {
 		if !grp.ActsRegularly() {
 			t.Fatalf("group of order %d does not act regularly on %d tasks", grp.Order(), n)
 		}
+		seen := make([]bool, n)
 		for i := 0; i < grp.Order(); i++ {
 			task := grp.TaskOfElement(i)
-			back, err := grp.ElementOfTask(task)
-			if err != nil || back != i {
-				t.Fatalf("element %d -> task %d -> element %d (err %v)", i, task, back, err)
+			if task < 0 || task >= n || seen[task] {
+				t.Fatalf("element %d maps to task %d, outside 0..%d or shared with another element", i, task, n-1)
 			}
+			seen[task] = true
 		}
 	})
 }

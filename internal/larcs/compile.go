@@ -2,6 +2,7 @@ package larcs
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -11,9 +12,22 @@ import (
 
 // Limits bound the expansion of a LaRCS program, guarding against
 // runaway parameter values. Zero fields mean the corresponding default.
+// MaxEdges also bounds the quantifier steps (see iterations).
 type Limits struct {
 	MaxTasks int // default 1 << 20
 	MaxEdges int // default 1 << 22
+}
+
+// iterations is the number of quantifier steps a compile may take,
+// counted at every depth of every comm rule and phase-expression
+// forall: max(64·MaxEdges, 1<<24). Guarded-out steps emit no edge, so
+// without this bound a rule such as `forall i in 0..2^40 if i < 0`
+// would spin for hours under the edge limit.
+func (l Limits) iterations() int {
+	if l.MaxEdges > math.MaxInt/64 {
+		return math.MaxInt
+	}
+	return max(64*l.MaxEdges, 1<<24)
 }
 
 func (l Limits) withDefaults() Limits {
@@ -88,7 +102,7 @@ type Compiled struct {
 // compiles of one program are safe.
 func (prog *Program) Compile(bindings map[string]int, lim Limits) (*Compiled, error) {
 	lim = lim.withDefaults()
-	c := &compiler{scope: scope{deepest: -1}, maxEdges: lim.MaxEdges}
+	c := &compiler{scope: scope{deepest: -1}, maxEdges: lim.MaxEdges, maxSteps: lim.iterations()}
 	for _, p := range prog.Params {
 		v, ok := bindings[p]
 		if !ok {
@@ -257,12 +271,23 @@ func (prog *Program) Compile(bindings map[string]int, lim Limits) (*Compiled, er
 }
 
 // compiler is one Compile call's state: the scope and its frame, the
-// evaluated nodetypes, and the edge budget.
+// evaluated nodetypes, and the edge and iteration budgets.
 type compiler struct {
 	scope
 	infos    []NodeTypeInfo
 	maxEdges int
 	edges    int // edges emitted so far, across all phases
+	maxSteps int
+	steps    int // quantifier steps taken so far, at every depth
+}
+
+// step counts one quantifier step against the iteration limit.
+func (c *compiler) step() error {
+	c.steps++
+	if c.steps > c.maxSteps {
+		return fmt.Errorf("larcs: program exceeds iteration limit %d", c.maxSteps)
+	}
+	return nil
 }
 
 // eval lowers e and evaluates it once against the current frame.
@@ -425,13 +450,23 @@ func (c *compiler) run(gp *graph.CommPhase, r *loweredRule, d int) error {
 	if err != nil {
 		return err
 	}
-	for v := lo; v <= hi; v++ {
+	if hi < lo {
+		return nil
+	}
+	// The loop exits on v == hi rather than v > hi, which v++ would
+	// never reach when hi is math.MaxInt.
+	for v := lo; ; v++ {
+		if err := c.step(); err != nil {
+			return err
+		}
 		c.frame[q.slot] = v
 		if err := c.run(gp, r, d+1); err != nil {
 			return err
 		}
+		if v == hi {
+			return nil
+		}
 	}
-	return nil
 }
 
 // emit evaluates the guard, endpoints and volume at the current
@@ -549,13 +584,13 @@ type groundFn func(frame []int) (phase.Expr, error)
 
 // lowerPExpr lowers a parametric phase expression; commNames holds
 // every expanded communication phase name.
-func (sc *scope) lowerPExpr(e PExpr, commNames map[string]bool) groundFn {
+func (c *compiler) lowerPExpr(e PExpr, commNames map[string]bool) groundFn {
 	switch v := e.(type) {
 	case PIdle:
 		return func([]int) (phase.Expr, error) { return phase.Idle{}, nil }
 	case PRef:
 		if v.Index != nil {
-			index := sc.lower(v.Index)
+			index := c.lower(v.Index)
 			return func(f []int) (phase.Expr, error) {
 				ix, err := index(f)
 				if err != nil {
@@ -571,7 +606,7 @@ func (sc *scope) lowerPExpr(e PExpr, commNames map[string]bool) groundFn {
 		var ref phase.Expr = phase.Ref{Name: v.Name, Comm: commNames[v.Name]}
 		return func([]int) (phase.Expr, error) { return ref, nil }
 	case PSeq:
-		parts := sc.lowerPExprs(v.Parts, commNames)
+		parts := c.lowerPExprs(v.Parts, commNames)
 		return func(f []int) (phase.Expr, error) {
 			ps, err := groundAll(parts, f)
 			if err != nil {
@@ -580,7 +615,7 @@ func (sc *scope) lowerPExpr(e PExpr, commNames map[string]bool) groundFn {
 			return phase.Seq{Parts: ps}, nil
 		}
 	case PPar:
-		parts := sc.lowerPExprs(v.Parts, commNames)
+		parts := c.lowerPExprs(v.Parts, commNames)
 		return func(f []int) (phase.Expr, error) {
 			ps, err := groundAll(parts, f)
 			if err != nil {
@@ -589,7 +624,7 @@ func (sc *scope) lowerPExpr(e PExpr, commNames map[string]bool) groundFn {
 			return phase.Par{Parts: ps}, nil
 		}
 	case PRep:
-		body, count := sc.lowerPExpr(v.Body, commNames), sc.lower(v.Count)
+		body, count := c.lowerPExpr(v.Body, commNames), c.lower(v.Count)
 		return func(f []int) (phase.Expr, error) {
 			b, err := body(f)
 			if err != nil {
@@ -605,10 +640,10 @@ func (sc *scope) lowerPExpr(e PExpr, commNames map[string]bool) groundFn {
 			return phase.Rep{Body: b, Count: n}, nil
 		}
 	case PForall:
-		lo, hi := sc.lower(v.Range.Lo), sc.lower(v.Range.Hi)
-		s := sc.bind(v.Var)
-		body := sc.lowerPExpr(v.Body, commNames)
-		sc.unbind(1)
+		lo, hi := c.lower(v.Range.Lo), c.lower(v.Range.Hi)
+		s := c.bind(v.Var)
+		body := c.lowerPExpr(v.Body, commNames)
+		c.unbind(1)
 		return func(f []int) (phase.Expr, error) {
 			a, err := lo(f)
 			if err != nil {
@@ -620,12 +655,18 @@ func (sc *scope) lowerPExpr(e PExpr, commNames map[string]bool) groundFn {
 			}
 			var parts []phase.Expr
 			for val := a; val <= b; val++ {
+				if err := c.step(); err != nil {
+					return nil, err
+				}
 				f[s] = val
 				g, err := body(f)
 				if err != nil {
 					return nil, err
 				}
 				parts = append(parts, g)
+				if val == b {
+					break
+				}
 			}
 			switch len(parts) {
 			case 0:
@@ -639,10 +680,10 @@ func (sc *scope) lowerPExpr(e PExpr, commNames map[string]bool) groundFn {
 	return func([]int) (phase.Expr, error) { return nil, fmt.Errorf("larcs: unknown phase expression %T", e) }
 }
 
-func (sc *scope) lowerPExprs(es []PExpr, commNames map[string]bool) []groundFn {
+func (c *compiler) lowerPExprs(es []PExpr, commNames map[string]bool) []groundFn {
 	out := make([]groundFn, len(es))
 	for i, e := range es {
-		out[i] = sc.lowerPExpr(e, commNames)
+		out[i] = c.lowerPExpr(e, commNames)
 	}
 	return out
 }

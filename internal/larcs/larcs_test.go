@@ -1,8 +1,11 @@
 package larcs
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"oregami/internal/phase"
 )
@@ -625,5 +628,43 @@ phases forall s in 1..3 : e^s;
 	}
 	if len(steps) != 1+2+3 {
 		t.Errorf("steps = %d, want 6", len(steps))
+	}
+}
+
+// TestCompileIterationLimit holds Compile to its iteration limit. A
+// guard that is never true emits no edge, so before the limit a rule
+// over 0..2^40 ran for hours under the edge limit; and a range ending at
+// math.MaxInt never ended, because v++ wrapped before v > hi.
+func TestCompileIterationLimit(t *testing.T) {
+	const src = `
+algorithm spin(lo, hi);
+nodetype t 0..1;
+comphase c {
+    forall i in lo..hi if i < 0 : t(0) -> t(1);
+}
+phases forall k in lo..hi : c;
+`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = prog.Compile(map[string]int{"lo": 0, "hi": 1 << 40}, Limits{MaxEdges: 1 << 10})
+	if want := fmt.Sprintf("larcs: program exceeds iteration limit %d", 1<<24); err == nil || err.Error() != want {
+		t.Errorf("spin over 0..2^40: err = %v, want %q", err, want)
+	}
+	t.Logf("the 0..2^40 rule stopped after %v", time.Since(start))
+
+	// The comm rule and the phase-expression forall each step three
+	// times and stop at math.MaxInt.
+	c, err := prog.Compile(map[string]int{"lo": math.MaxInt - 2, "hi": math.MaxInt}, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.Graph.Comm[0].Edges); n != 0 {
+		t.Errorf("guarded-out rule emitted %d edges", n)
+	}
+	if seq, ok := c.Phases.(phase.Seq); !ok || len(seq.Parts) != 3 {
+		t.Errorf("phase forall over MaxInt-2..MaxInt grounded to %v, want 3 parts", c.Phases)
 	}
 }

@@ -7,7 +7,8 @@ package multilevel
 // deterministic BFS graph growing over the CSR, and recurse until every
 // part has one processor. It needs no matching hierarchy and no exact
 // solver, runs in O(|E| log P), and is expected to lose to multilevel
-// on IPC — BENCH_multilevel.json quantifies by how much.
+// on IPC — the scale rows in the root package's scale_test.go gate
+// both mappers' TotalIPC, and docs/MULTILEVEL.md records by how much.
 
 import (
 	"fmt"

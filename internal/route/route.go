@@ -541,11 +541,6 @@ func PhasePairs(m *mapping.Mapping, phaseName string) ([][2]int, error) {
 func RouteAll(m *mapping.Mapping, opt Options) (map[string]Stats, error) {
 	phases := m.Graph.Comm
 	workers := par.Resolve(opt.Parallelism)
-	if workers > 1 {
-		// The lazy all-pairs distance table must exist before goroutines
-		// share the network: Distance fills it unsynchronized.
-		m.Net.WarmDistances()
-	}
 	type slot struct {
 		routes []topology.Route
 		st     Stats

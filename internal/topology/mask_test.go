@@ -1,6 +1,10 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"sync"
+	"testing"
+)
 
 func TestMaskedBasics(t *testing.T) {
 	net := Hypercube(3)
@@ -97,5 +101,49 @@ func TestMaskedRejectsOutOfRange(t *testing.T) {
 	}
 	if _, err := net.Masked(nil, []int{99}); err == nil {
 		t.Error("out-of-range link accepted")
+	}
+}
+
+// TestConcurrentFirstDistance races the first Distance calls on a
+// degraded view, whose lazily built all-pairs table used to be published
+// before its rows were filled. Run under -race (`make race`); every
+// goroutine must read the same distances as a view queried alone.
+func TestConcurrentFirstDistance(t *testing.T) {
+	view := func() *Network {
+		m, err := Hierarchy(2, 3, 4).Masked([]int{5}, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	ref, shared := view(), view()
+	want := make([]int, 0, ref.N*ref.N)
+	for a := 0; a < ref.N; a++ {
+		for b := 0; b < ref.N; b++ {
+			want = append(want, ref.Distance(a, b))
+		}
+	}
+	const workers = 8
+	got := make([][]int, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for a := 0; a < shared.N; a++ {
+				for b := 0; b < shared.N; b++ {
+					got[w] = append(got[w], shared.Distance(a, b))
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for w := range got {
+		if !slices.Equal(got[w], want) {
+			t.Fatalf("goroutine %d read distances that differ from a single-threaded view", w)
+		}
 	}
 }

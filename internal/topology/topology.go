@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Link is a bidirectional physical channel between processors A and B.
@@ -36,9 +37,9 @@ type Network struct {
 	adj     [][]int
 	adjLink [][]int // link ids aligned slot for slot with adj
 	links   []Link
-	linkID  map[[2]int]int // construction-time dup detection only
-	dist    [][]int16      // lazily computed all-pairs hop distances
-	hier    *hierTables    // per-PE digit tables of a "hier" network
+	linkID  map[[2]int]int            // construction-time dup detection only
+	dist    atomic.Pointer[[][]int16] // lazily computed all-pairs hop distances
+	hier    *hierTables               // per-PE digit tables of a "hier" network
 
 	// Degraded views (see Masked): when degraded is set, deadProc and
 	// deadLink mark failed hardware, adj excludes dead links, and the
@@ -175,8 +176,7 @@ func (nw *Network) Distance(a, b int) int {
 			return d
 		}
 	}
-	nw.ensureDist()
-	return int(nw.dist[a][b])
+	return int(nw.distances()[a][b])
 }
 
 func (nw *Network) analyticDistance(a, b int) (int, bool) {
@@ -249,27 +249,14 @@ func (nw *Network) Diameter() int {
 	return d
 }
 
-// WarmDistances forces the all-pairs distance table to exist for
-// networks that need one (irregular families and every degraded view).
-// Distance fills that table lazily and unsynchronized, so concurrent
-// first queries would race; callers about to share the network across
-// goroutines (route.RouteAll's per-phase fan-out) warm it once,
-// single-threaded, after which Distance is read-only and safe to call
-// concurrently. Analytic families skip the table entirely.
-func (nw *Network) WarmDistances() {
-	if !nw.degraded {
-		if _, ok := nw.analyticDistance(0, 0); ok {
-			return
-		}
+// distances returns the all-pairs hop table, building it on first use.
+// It is safe for concurrent use: first callers that race each build the
+// same table, and every caller gets the one published first.
+func (nw *Network) distances() [][]int16 {
+	if d := nw.dist.Load(); d != nil {
+		return *d
 	}
-	nw.ensureDist()
-}
-
-func (nw *Network) ensureDist() {
-	if nw.dist != nil {
-		return
-	}
-	nw.dist = make([][]int16, nw.N)
+	dist := make([][]int16, nw.N)
 	for s := 0; s < nw.N; s++ {
 		d := make([]int16, nw.N)
 		for i := range d {
@@ -286,8 +273,12 @@ func (nw *Network) ensureDist() {
 				}
 			}
 		}
-		nw.dist[s] = d
+		dist[s] = d
 	}
+	if nw.dist.CompareAndSwap(nil, &dist) {
+		return dist
+	}
+	return *nw.dist.Load()
 }
 
 // NextHops returns the neighbors of src that lie on some shortest path

@@ -154,12 +154,12 @@ func TestMakeRefExtractors(t *testing.T) {
 		"      - name: block",
 		"        run: |",
 		"          cp a b",
-		"          make bench-multilevel",
+		"          make smoke-serve",
 		"      - uses: actions/upload-artifact@v4",
 		"        with:",
 		"          name: make lint",
 	}, "\n")
-	if got, want := strings.Join(workflowMakeRefs(yml), ","), "check,bench-multilevel"; got != want {
+	if got, want := strings.Join(workflowMakeRefs(yml), ","), "check,smoke-serve"; got != want {
 		t.Errorf("workflow refs = %q, want %q", got, want)
 	}
 }

@@ -1,10 +1,14 @@
 package oregami
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"oregami/internal/check"
 	"oregami/internal/gen"
+	"oregami/internal/graph"
+	"oregami/internal/mapping"
 	"oregami/internal/multilevel"
 	"oregami/internal/topology"
 )
@@ -109,66 +113,109 @@ func TestScaleBinomialMesh(t *testing.T) {
 	}
 }
 
-// TestScaleMultilevelMillion is the headline case for docs/MULTILEVEL.md:
-// a million-task stencil coarsened, mapped, and uncoarsened onto the
-// 512-PE 4x4x4x8 hierarchy, with the result held to the internal/check
-// oracle. Guarded by -short, and skipped under the race detector where
-// the instrumented run would dominate `make race`.
-func TestScaleMultilevelMillion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale test")
-	}
-	if raceEnabled {
-		t.Skip("million-task map is too slow under the race detector")
-	}
-	g := gen.Grid2D(1000, 1000)
-	net := topology.Hierarchy(4, 4, 4, 8)
-	m, st, err := multilevel.Map(g, net, multilevel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if vs := check.VerifyMapping(g, net, m); len(vs) > 0 {
-		t.Fatalf("oracle found %d violations, first: %v", len(vs), vs[0])
-	}
-	if st.Levels < 2 {
-		t.Errorf("levels = %d, want a real hierarchy", st.Levels)
-	}
-	if st.CoarsestTasks >= 1_000_000/10 {
-		t.Errorf("coarsest level still has %d vertices", st.CoarsestTasks)
-	}
-	if st.Clusters > net.N {
-		t.Errorf("%d clusters exceed %d processors", st.Clusters, net.N)
-	}
-	for cl, p := range m.Place {
-		if p < 0 || p >= net.N {
-			t.Fatalf("cluster %d placed on processor %d of %d", cl, p, net.N)
-		}
+// scaleRow is one stencil size the scale gates map onto the 512-PE
+// 4x4x4x8 hierarchy, with its ceilings. The allocs/op ceiling is 10%
+// over the count last recorded for the row; the quality ceilings
+// (TotalIPC and the most tasks on one processor) are the values last
+// measured, so a change that trades mapping quality for speed fails
+// here instead of passing unseen.
+type scaleRow struct {
+	name       string
+	r, c       int
+	allocs     float64
+	ipc        float64
+	maxPerProc int
+}
+
+// scaleGate maps each row's gen.Grid2D stencil onto the 512-PE
+// hierarchy with mapFn, holds the result to the internal/check oracle
+// and the row's ceilings, logs wall time and load imbalance, and hands
+// the mapping to extra, if non-nil, for mapper-specific assertions.
+// The mapping is measured with one testing.AllocsPerRun run (plus its
+// warm-up, which also builds the cached CSR): ten runs would cost ~11 s
+// at 1e6 tasks. It skips where the allocation gates do — in -short mode
+// and under the race detector, where the instrumented million-task map
+// would also dominate `make race`; `make alloc` runs it.
+func scaleGate(t *testing.T, rows []scaleRow,
+	mapFn func(*graph.TaskGraph, *topology.Network, multilevel.Options) (*mapping.Mapping, *multilevel.Stats, error),
+	extra func(*testing.T, int, *topology.Network, *mapping.Mapping, *multilevel.Stats)) {
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			skipAllocGate(t)
+			g := gen.Grid2D(row.r, row.c)
+			net := topology.Hierarchy(4, 4, 4, 8)
+			var (
+				m    *mapping.Mapping
+				st   *multilevel.Stats
+				err  error
+				wall time.Duration
+			)
+			allocs := testing.AllocsPerRun(1, func() {
+				start := time.Now()
+				m, st, err = mapFn(g, net, multilevel.Options{})
+				wall = time.Since(start)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if vs := check.VerifyMapping(g, net, m); len(vs) > 0 {
+				t.Fatalf("oracle found %d violations, first: %v", len(vs), vs[0])
+			}
+			ipc, maxPerProc := m.TotalIPC(), slices.Max(m.TasksPerProc())
+			imbalance := float64(maxPerProc) * float64(net.NumLive()) / float64(g.NumTasks)
+			t.Logf("%v wall, %.0f allocs/op (ceiling %.0f), TotalIPC %.0f (ceiling %.0f), max %d tasks/proc (ceiling %d), imbalance %.3f",
+				wall.Round(time.Millisecond), allocs, row.allocs, ipc, row.ipc, maxPerProc, row.maxPerProc, imbalance)
+			if allocs > row.allocs {
+				t.Errorf("allocates %.0f times per op, budget is %.0f", allocs, row.allocs)
+			}
+			if ipc > row.ipc {
+				t.Errorf("TotalIPC %.0f exceeds its ceiling %.0f", ipc, row.ipc)
+			}
+			if maxPerProc > row.maxPerProc {
+				t.Errorf("a processor holds %d tasks, ceiling %d", maxPerProc, row.maxPerProc)
+			}
+			if extra != nil {
+				extra(t, g.NumTasks, net, m, st)
+			}
+		})
 	}
 }
 
+// TestScaleMultilevelMillion is the headline case for docs/MULTILEVEL.md:
+// 1e5- and million-task stencils coarsened, mapped, and uncoarsened onto
+// the 512-PE 4x4x4x8 hierarchy, with the result held to the
+// internal/check oracle and to allocation and quality ceilings.
+func TestScaleMultilevelMillion(t *testing.T) {
+	scaleGate(t, []scaleRow{
+		{"n=100000", 250, 400, 99_129, 31_350, 256},
+		{"n=1000000", 1000, 1000, 25_049, 111_065, 2_048},
+	}, multilevel.Map, func(t *testing.T, tasks int, net *topology.Network, m *mapping.Mapping, st *multilevel.Stats) {
+		if st.Levels < 2 {
+			t.Errorf("levels = %d, want a real hierarchy", st.Levels)
+		}
+		if st.CoarsestTasks >= tasks/10 {
+			t.Errorf("coarsest level still has %d vertices", st.CoarsestTasks)
+		}
+		if st.Clusters > net.N {
+			t.Errorf("%d clusters exceed %d processors", st.Clusters, net.N)
+		}
+		for cl, p := range m.Place {
+			if p < 0 || p >= net.N {
+				t.Fatalf("cluster %d placed on processor %d of %d", cl, p, net.N)
+			}
+		}
+	})
+}
+
 // TestScaleBisectMillion runs the recursive-bisection baseline over the
-// same million-task workload: it must stay oracle-clean and place every
-// cluster on a distinct live processor.
+// same workloads: it must stay oracle-clean, place every cluster on a
+// distinct live processor, and stay under its own ceilings.
 func TestScaleBisectMillion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale test")
-	}
-	if raceEnabled {
-		t.Skip("million-task map is too slow under the race detector")
-	}
-	g := gen.Grid2D(1000, 1000)
-	net := topology.Hierarchy(4, 4, 4, 8)
-	m, _, err := multilevel.BisectMap(g, net, multilevel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if vs := check.VerifyMapping(g, net, m); len(vs) > 0 {
-		t.Fatalf("oracle found %d violations, first: %v", len(vs), vs[0])
-	}
+	scaleGate(t, []scaleRow{
+		{"n=100000", 250, 400, 18_290, 47_663, 196},
+		{"n=1000000", 1000, 1000, 65_724, 152_093, 1_954},
+	}, multilevel.BisectMap, nil)
 }

@@ -2,9 +2,8 @@
 // mapping daemon (internal/serve). It spawns the daemon itself from the
 // binary named by -launch, drives POST /v1/map with a mix of
 // workload/network pairs, and reports latency percentiles, throughput
-// and cache hit ratios as a JSON document with the same shape
-// tools/benchjson emits. It has two harnesses, and one of -chaos or
-// -cluster must be given.
+// and cache hit ratios as a JSON document (Document). It has two
+// harnesses, and one of -chaos or -cluster must be given.
 //
 // Usage:
 //
@@ -54,7 +53,7 @@ import (
 	"oregami/client"
 )
 
-// Result mirrors tools/benchjson's Result so both tools emit one schema.
+// Result is one named measurement of a run.
 type Result struct {
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs,omitempty"`
@@ -63,7 +62,8 @@ type Result struct {
 	Extra      map[string]float64 `json:"extra,omitempty"`
 }
 
-// Document mirrors tools/benchjson's Document.
+// Document is the JSON document loadgen writes: run metadata and its
+// results.
 type Document struct {
 	Meta    map[string]string `json:"meta,omitempty"`
 	Results []Result          `json:"results"`
@@ -289,7 +289,7 @@ func killWindow(cls []*client.Client, mix []target, c int, opts client.MapOption
 	return st, err
 }
 
-// writeDoc encodes doc as indented JSON, the layout benchjson writes.
+// writeDoc encodes doc as indented JSON.
 func writeDoc(out io.Writer, doc Document) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
