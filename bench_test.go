@@ -169,6 +169,49 @@ func BenchmarkMMRoute(b *testing.B) {
 			}
 		})
 	}
+	// The busiest phase of jacobi n=100 mapped by multilevel onto the
+	// 512-PE hierarchy: shortest next hops there are almost all unique.
+	net, pairs := busiestMultilevelPhase(b)
+	b.Run("ml-stencil-hier-4x4x4x8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			route.MMRoute(net, pairs, route.Options{})
+		}
+	})
+}
+
+// busiestMultilevelPhase maps jacobi n=100 with the multilevel engine
+// onto hier:4,4,4,8 and returns the pairs of the phase whose routes make
+// the most hops.
+func busiestMultilevelPhase(b *testing.B) (*topology.Network, [][2]int) {
+	w, err := workload.ByName("jacobi")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := w.Compile(map[string]int{"n": 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := topology.Hierarchy(4, 4, 4, 8)
+	res, err := core.Map(core.Request{Compiled: c, Net: net, Force: core.ClassMultilevel})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var busiest [][2]int
+	most := -1
+	for _, p := range res.Mapping.Graph.Comm {
+		hops := 0
+		for _, r := range res.Mapping.Routes[p.Name] {
+			hops += len(r)
+		}
+		if hops > most {
+			pairs, err := route.PhasePairs(res.Mapping, p.Name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			busiest, most = pairs, hops
+		}
+	}
+	return net, busiest
 }
 
 func BenchmarkRouteBaselines(b *testing.B) {

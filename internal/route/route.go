@@ -34,9 +34,12 @@ type Options struct {
 	// Ctx carries cooperative cancellation into the matching rounds,
 	// checked once per round (nil means no cancellation). The Distance
 	// scans that find each edge's next-hop links run once per hop
-	// round; a matching round only filters, sorts and matches those
-	// links, in time about linear in their number (the per-edge sort is
-	// quadratic in a segment no longer than the edge's degree).
+	// round. A matching round touches one open link per forced edge it
+	// advances (forced edges wait in per-link queues) and filters,
+	// sorts and matches the links of the remaining choice edges, in
+	// time about linear in their number (the per-edge sort is quadratic
+	// in a segment no longer than the edge's degree). A round that
+	// matches nothing costs only the choice edges.
 	Ctx context.Context
 	// Parallelism bounds RouteAll's per-phase fan-out: communication
 	// phases route independently on up to this many goroutines
@@ -127,6 +130,7 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 	// Candidates are a subset of the next-hop links, so candBuf,
 	// re-borrowed whenever a hop round's hopBuf outgrows it, never
 	// overflows within the round.
+	nl := net.NumLinks()
 	remaining := scr.IntsCap(len(pairs))
 	hopBuf := scr.IntsCap(2 * len(pairs))
 	hopOff := scr.Ints(len(pairs))
@@ -137,21 +141,48 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 	counts := scr.Ints(maxDeg + 2)
 	matchX := scr.Ints(len(pairs))
 	// matchY stays all -1 between rounds: each greedy round undoes only
-	// the links it matched.
-	matchY := scr.IntsFill(net.NumLinks(), -1)
+	// the links it matched or reserved.
+	matchY := scr.IntsFill(nl, -1)
+	// An edge with exactly one next-hop link is forced: it can only ever
+	// bid for that link, with candidate count 1, so it waits in the
+	// link's FIFO queue (ascending edge index) instead of being filtered,
+	// sorted and offered the link every matching round. The queues are
+	// one counting-sort CSR per hop round: link l's waiting edges are
+	// qBuf[qHead[l]:qEnd[l]], waiting lists the links with a queue, and
+	// open those of them still under the budget. unique[i] records that
+	// every hop of pair i was forced, so its route is the only shortest
+	// path and refinement cannot change it. Under UseMaximum every edge
+	// stays a choice edge: Hopcroft-Karp needs the whole bipartite graph.
+	qLen := scr.Ints(nl)
+	qHead := scr.Ints(nl)
+	qEnd := scr.Ints(nl)
+	qBuf := scr.Ints(len(pairs))
+	waiting := scr.IntsCap(min(nl, len(pairs)))
+	open := scr.IntsCap(min(nl, len(pairs)))
+	unique := scr.Bools(len(pairs))
+	for _, i := range active {
+		unique[i] = true
+	}
 
 	// budget is the per-link usage ceiling currently allowed; it only
 	// grows when some edge cannot progress under it, so link load is
 	// leveled across the whole phase ("evenly distribute the edges of a
-	// given color to the links").
+	// given color to the links"). A matched link was below the budget,
+	// so no link's use ever exceeds it.
 	budget := 1
+	stalls := 0 // consecutive matching rounds that matched nothing
 	for len(active) > 0 {
 		// One hop round: every active edge must obtain a link for its
 		// next hop via repeated matchings under the budget. First fix
 		// each edge's next-hop links: those to neighbors one hop closer
 		// to dst, in ascending neighbor order (NextHops' order, without
-		// its per-call slice or a LinkBetween lookup per hop).
+		// its per-call slice or a LinkBetween lookup per hop). Forced
+		// edges are counted per link; the rest ("choice" edges) remain
+		// for the matching rounds in ascending index.
 		hopBuf = hopBuf[:0]
+		remaining = remaining[:0]
+		waiting = waiting[:0]
+		queued := 0
 		for _, ei := range active {
 			hopOff[ei] = len(hopBuf)
 			dst := pairs[ei][1]
@@ -168,18 +199,58 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 				}
 			}
 			hopEnd[ei] = len(hopBuf)
+			if hopEnd[ei]-hopOff[ei] != 1 {
+				unique[ei] = false
+			}
+			if hopEnd[ei]-hopOff[ei] == 1 && !opt.UseMaximum {
+				l := hopBuf[hopOff[ei]]
+				if qLen[l] == 0 {
+					waiting = append(waiting, l)
+				}
+				qLen[l]++
+				queued++
+			} else {
+				remaining = append(remaining, ei)
+			}
+		}
+		if queued > 0 {
+			start := 0
+			for _, l := range waiting {
+				qHead[l], qEnd[l] = start, start
+				start += qLen[l]
+				qLen[l] = 0
+			}
+			for _, ei := range active {
+				if hopEnd[ei]-hopOff[ei] == 1 && !opt.UseMaximum {
+					l := hopBuf[hopOff[ei]]
+					qBuf[qEnd[l]] = ei
+					qEnd[l]++
+				}
+			}
+		}
+		open = open[:0]
+		for _, l := range waiting {
+			if linkUse[l] < budget {
+				open = append(open, l)
+			}
 		}
 		if len(hopBuf) > cap(candBuf) {
 			candBuf = scr.IntsCap(len(hopBuf))
 		}
-		remaining = append(remaining[:0], active...)
-		for len(remaining) > 0 {
+		for queued > 0 || len(remaining) > 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, stats, err
 			}
 			stats.Rounds++
+			// Each open link is reserved by its queue head: a candidate-
+			// count-1 edge, so the greedy order below would offer it the
+			// link before any other edge except a count-1 choice edge of
+			// smaller index.
+			for _, l := range open {
+				matchY[l] = reserved
+			}
 			nRem := len(remaining)
-			// X = remaining edges, Y = links; candidates are the
+			// X = remaining choice edges, Y = links; candidates are the
 			// next-hop links with usage below the budget, tried coldest
 			// first. Most-constrained edges match first. Candidate
 			// lists live as segments of candBuf: edge xi owns
@@ -236,7 +307,7 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			}
 			mX := matchX[:nRem]
 			if opt.UseMaximum {
-				b := matching.NewBipartite(nRem, net.NumLinks())
+				b := matching.NewBipartite(nRem, nl)
 				for _, xi := range ord {
 					for _, id := range candBuf[candOff[xi]:candOff[xi+1]] {
 						b.AddEdge(xi, id)
@@ -247,12 +318,23 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			} else {
 				// Greedy maximal matching straight over the candidate
 				// segments, scanning X in most-constrained-first order —
-				// what greedyInOrder did over a per-round Bipartite.
+				// what greedyInOrder did over a per-round Bipartite. A
+				// reserved link counts as taken, except by a lone-
+				// candidate edge that precedes the link's queue head.
 				for i := range mX {
 					mX[i] = -1
 				}
 				for _, xi := range ord {
-					for _, id := range candBuf[candOff[xi]:candOff[xi+1]] {
+					seg := candBuf[candOff[xi]:candOff[xi+1]]
+					if len(seg) == 1 {
+						id := seg[0]
+						if y := matchY[id]; y == -1 || (y == reserved && remaining[xi] < qBuf[qHead[id]]) {
+							mX[xi] = id
+							matchY[id] = xi
+						}
+						continue
+					}
+					for _, id := range seg {
 						if matchY[id] == -1 {
 							mX[xi] = id
 							matchY[id] = xi
@@ -261,7 +343,17 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 					}
 				}
 			}
-			progressed := false
+			// Every open link is matched: by its queue head, which
+			// advances, or by a choice edge that came first.
+			progressed := len(open) > 0
+			for _, l := range open {
+				if matchY[l] == reserved {
+					advance(net, routes, pos, linkUse, qBuf[qHead[l]], l)
+					qHead[l]++
+					queued--
+				}
+				matchY[l] = -1
+			}
 			k := 0
 			for xi, ei := range remaining {
 				link := mX[xi]
@@ -272,25 +364,43 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 				}
 				progressed = true
 				matchY[link] = -1 // undo the greedy match (a no-op for Hopcroft-Karp)
-				routes[ei] = append(routes[ei], link)
-				linkUse[link]++
-				l := net.Link(link)
-				if pos[ei] == l.A {
-					pos[ei] = l.B
-				} else {
-					pos[ei] = l.A
-				}
-			}
-			if !progressed {
-				// Every remaining edge is blocked by the budget; relax it.
-				// Reachability was checked up front, so the walk always
-				// terminates — the guard is purely defensive.
-				if budget > net.NumLinks()*len(pairs)+1 {
-					return nil, stats, fmt.Errorf("route: no progress with budget %d (disconnected network?)", budget)
-				}
-				budget++
+				advance(net, routes, pos, linkUse, ei, link)
 			}
 			remaining = remaining[:k]
+			// Links that saturated or drained leave the open list.
+			k = 0
+			for _, l := range open {
+				if qHead[l] < qEnd[l] && linkUse[l] < budget {
+					open[k] = l
+					k++
+				}
+			}
+			open = open[:k]
+			if progressed {
+				stalls = 0
+				continue
+			}
+			// Every waiting edge is blocked by the budget; relax it. The
+			// blocking links were all at the old budget, so after the
+			// raise every edge with a next hop can match: a second
+			// fruitless round in a row means no waiting edge has one.
+			if stalls++; stalls == 2 {
+				ei := remaining[0]
+				return nil, stats, fmt.Errorf("route: pair %d (%d->%d) has no shortest next hop at processor %d",
+					ei, pairs[ei][0], pairs[ei][1], pos[ei])
+			}
+			budget++
+			k = 0
+			for _, l := range waiting {
+				if qHead[l] < qEnd[l] {
+					waiting[k] = l
+					k++
+					if linkUse[l] < budget {
+						open = append(open, l)
+					}
+				}
+			}
+			waiting = waiting[:k]
 		}
 		// Advance: drop edges that reached their destination.
 		k := 0
@@ -303,7 +413,7 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 		active = active[:k]
 	}
 	if !opt.NoRefine {
-		refineRoutes(net, pairs, routes, linkUse, scr)
+		refineRoutes(net, pairs, routes, linkUse, unique, scr)
 	}
 	for _, u := range linkUse {
 		if u > stats.MaxContention {
@@ -316,10 +426,27 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 	return routes, stats, nil
 }
 
+// reserved marks, in matchY, an open link held by its queue head.
+const reserved = -2
+
+// advance moves edge ei across link id.
+func advance(net *topology.Network, routes []topology.Route, pos, linkUse []int, ei, id int) {
+	routes[ei] = append(routes[ei], id)
+	linkUse[id]++
+	if l := net.Link(id); pos[ei] == l.A {
+		pos[ei] = l.B
+	} else {
+		pos[ei] = l.A
+	}
+}
+
 // refineRoutes levels link load: each route is removed and replaced by
 // the shortest path minimizing (max link load, total link load) over the
-// shortest-path DAG, repeating until a sweep makes no change.
-func refineRoutes(net *topology.Network, pairs [][2]int, routes []topology.Route, linkUse []int, scr *graph.Scratch) {
+// shortest-path DAG, repeating until a sweep makes no change or after 4
+// sweeps. Pairs with unique[i] set have exactly one shortest path, which
+// the DP would return unchanged, so they are skipped; a nil unique runs
+// the DP for every pair.
+func refineRoutes(net *topology.Network, pairs [][2]int, routes []topology.Route, linkUse []int, unique []bool, scr *graph.Scratch) {
 	n := net.Processors()
 	memo := congMemo{
 		stamp: scr.Ints(n),
@@ -338,7 +465,7 @@ func refineRoutes(net *topology.Network, pairs [][2]int, routes []topology.Route
 	for sweep := 0; sweep < 4; sweep++ {
 		changed := false
 		for i, p := range pairs {
-			if p[0] == p[1] {
+			if p[0] == p[1] || (unique != nil && unique[i]) {
 				continue
 			}
 			for _, id := range routes[i] {
