@@ -74,10 +74,30 @@ func TestAllocBudgetGraphBuild(t *testing.T) {
 	})
 }
 
+// TestAllocBudgetCSRJacobi gates the CSR build on the scale user's
+// graph, jacobi n=100 (1e4 tasks, 39.6k edges), from a fresh copy each
+// run: 19 allocs/op, the copy's slices, the collapse's three buffers
+// and the CSR's own arrays, whatever the edge count. Ceiling ~2x.
+func TestAllocBudgetCSRJacobi(t *testing.T) {
+	w, err := workload.ByName("jacobi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := w.Compile(map[string]int{"n": 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate(t, "clone + CSR jacobi n=100", 40, func() {
+		if c.Graph.Clone().CSR().NumPairs() == 0 {
+			t.Fatal("no pairs")
+		}
+	})
+}
+
 func TestAllocBudgetCollapsedEntries(t *testing.T) {
 	c, _ := allocWorkload(t)
-	gate(t, "CollapsedEntries(1)", 8, func() {
-		if len(c.Graph.CollapsedEntries(1)) == 0 {
+	gate(t, "CollapsedEntries()", 8, func() {
+		if len(c.Graph.CollapsedEntries()) == 0 {
 			t.Fatal("no entries")
 		}
 	})

@@ -46,6 +46,37 @@ func BenchmarkLaRCSCompileNBody(b *testing.B) {
 	}
 }
 
+// --- The collapsed static graph ------------------------------------------
+
+// BenchmarkCSR builds the collapsed static graph's CSR from a fresh copy
+// of the task graph every iteration (the CSR is cached per graph, so a
+// copy is the only way to rebuild it); the rows include that copy.
+func BenchmarkCSR(b *testing.B) {
+	w, err := workload.ByName("jacobi")
+	if err != nil {
+		b.Fatal(err)
+	}
+	jacobi, err := w.Compile(map[string]int{"n": 100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	random, _ := allocWorkload(b)
+	for _, tc := range []struct {
+		name string
+		g    *graph.TaskGraph
+	}{
+		{"jacobi-n=100", jacobi.Graph},
+		{"gen-160x8", random.Graph},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.g.Clone().CSR()
+			}
+		})
+	}
+}
+
 // --- F4 / C2: group theory ----------------------------------------------
 
 func BenchmarkGroupContract(b *testing.B) {

@@ -117,7 +117,7 @@ func TestDetectWorkloads(t *testing.T) {
 func dilationOf(t *testing.T, nw *topology.Network, tg *graph.TaskGraph, canon []int, e *Embedding, target *topology.Network) (int, float64) {
 	t.Helper()
 	maxD, sum, count := 0, 0, 0
-	for _, pair := range tg.CollapsedEntries(1) {
+	for _, pair := range tg.CollapsedEntries() {
 		p1 := e.Proc[canon[pair.A]]
 		p2 := e.Proc[canon[pair.B]]
 		d := target.Distance(p1, p2)

@@ -35,7 +35,7 @@ func fromPairs(n int, pairs [][2]int) *graph.TaskGraph {
 func relabeled(r *rand.Rand, g *graph.TaskGraph) (int, [][2]int) {
 	perm := r.Perm(g.NumTasks)
 	var pairs [][2]int
-	for _, e := range g.CollapsedEntries(1) {
+	for _, e := range g.CollapsedEntries() {
 		pairs = append(pairs, [2]int{perm[e.A], perm[e.B]})
 	}
 	return g.NumTasks, pairs

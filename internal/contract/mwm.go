@@ -37,11 +37,11 @@ type Options struct {
 	// Ctx carries cooperative cancellation into the O(E V log V) merge
 	// and repair loops (nil means no cancellation).
 	Ctx context.Context
-	// Parallelism bounds the worker count for candidate-gain scoring:
-	// the per-phase collapsed-weight accumulation and the weight-ordered
-	// candidate sorts run on up to this many goroutines (0 = GOMAXPROCS,
-	// 1 = sequential). The partition produced is bit-identical at every
-	// setting (see internal/par).
+	// Parallelism bounds the worker count for the greedy pre-merge's
+	// weight-ordered candidate sort, the one parallel step of
+	// MWM-Contract (0 = GOMAXPROCS, 1 = sequential); the collapsed-weight
+	// table, the merges and the matching run sequentially. The partition
+	// produced is bit-identical at every setting (see internal/par).
 	Parallelism int
 }
 
@@ -92,7 +92,7 @@ func MWMContract(g *graph.TaskGraph, opt Options) ([]int, error) {
 	}
 	// The collapsed static graph is scored once and reused by every
 	// stage (the sequential version recomputed it per stage).
-	entries := g.CollapsedEntries(workers)
+	entries := g.CollapsedEntries()
 	u := newUnionFind(v)
 
 	if !opt.SkipGreedy && v > 2*opt.Processors {

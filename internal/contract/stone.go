@@ -69,7 +69,7 @@ func AssignmentCost(g *graph.TaskGraph, part []int, execA, execB []float64) floa
 	}
 	// Sorted entries, not a map, so the float objective is bit-identical
 	// between runs.
-	for _, e := range g.CollapsedEntries(1) {
+	for _, e := range g.CollapsedEntries() {
 		if part[e.A] != part[e.B] {
 			cost += e.W
 		}

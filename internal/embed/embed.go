@@ -90,55 +90,76 @@ func NNEmbedCtx(ctx context.Context, cg *graph.TaskGraph, net *topology.Network)
 		occupy(0, seedProc)
 	}
 
+	// traffic[c] is unplaced cluster c's traffic to placed clusters: a
+	// sum over c's CSR row in row order, so its terms add in cluster-id
+	// order — with fractional weights another order can change a
+	// placement. A placement changes only its neighbours' sums, so only
+	// those rows are re-tallied, each in full and in row order.
+	tally := func(c int) float64 {
+		t := 0.0
+		ws := csr.RowWeights(c)
+		for i, d := range csr.Neighbors(c) {
+			if place[d] != -1 {
+				t += ws[i]
+			}
+		}
+		return t
+	}
+	traffic := make([]float64, k)
+	for c := range traffic {
+		if place[c] == -1 {
+			traffic[c] = tally(c)
+		}
+	}
+	cost := make([]float64, net.N)
 	for placed < k {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Unplaced cluster with max traffic to placed clusters; fall
-		// back to the lowest-id unplaced cluster for isolated nodes. Both
-		// scans walk a cluster's CSR row, whose ascending order makes
-		// every float sum add its terms in cluster-id order: with
-		// fractional weights another order can change a placement.
+		// back to the lowest-id unplaced cluster for isolated nodes.
 		best, bestW := -1, -1.0
 		for c := 0; c < k; c++ {
-			if place[c] != -1 {
-				continue
-			}
-			t := 0.0
-			ws := csr.RowWeights(c)
-			for i, d := range csr.Neighbors(c) {
-				if place[d] != -1 {
-					t += ws[i]
-				}
-			}
-			if t > bestW {
-				best, bestW = c, t
+			if place[c] == -1 && traffic[c] > bestW {
+				best, bestW = c, traffic[c]
 			}
 		}
-		// Free processor minimizing weighted distance to partners.
+		// Free processor minimizing weighted distance to partners. The
+		// costs accumulate partner by partner, in row order, so each
+		// processor's sum adds the same terms in the same order as a
+		// processor-by-processor scan.
+		clear(cost)
 		nbrs, ws := csr.Neighbors(best), csr.RowWeights(best)
-		bestProc, bestCost := -1, 0.0
-		for p := 0; p < net.N; p++ {
-			if !freeProc[p] {
+		for i, d := range nbrs {
+			if place[d] == -1 || !(ws[i] > 0) {
 				continue
 			}
-			cost := 0.0
-			for i, d := range nbrs {
-				if place[d] != -1 && ws[i] > 0 {
-					hops := net.Distance(p, place[d])
-					if hops < 0 {
-						// Disconnected on a degraded network: worse than
-						// any reachable placement.
-						hops = net.N
-					}
-					cost += ws[i] * float64(hops)
+			q := place[d]
+			for p := 0; p < net.N; p++ {
+				if !freeProc[p] {
+					continue
 				}
+				hops := net.Distance(p, q)
+				if hops < 0 {
+					// Disconnected on a degraded network: worse than
+					// any reachable placement.
+					hops = net.N
+				}
+				cost[p] += ws[i] * float64(hops)
 			}
-			if bestProc == -1 || cost < bestCost {
-				bestProc, bestCost = p, cost
+		}
+		bestProc := -1
+		for p := 0; p < net.N; p++ {
+			if freeProc[p] && (bestProc == -1 || cost[p] < cost[bestProc]) {
+				bestProc = p
 			}
 		}
 		occupy(best, bestProc)
+		for _, d := range nbrs {
+			if place[d] == -1 {
+				traffic[d] = tally(int(d))
+			}
+		}
 	}
 	return place, nil
 }
@@ -183,7 +204,7 @@ func Random(k int, net *topology.Network, seed int64) ([]int, error) {
 func WeightedDilation(cg *graph.TaskGraph, net *topology.Network, place []int) (total float64, maxHops int) {
 	// Sorted entries, not a map: the float total must not depend on map
 	// iteration order.
-	for _, e := range cg.CollapsedEntries(1) {
+	for _, e := range cg.CollapsedEntries() {
 		d := net.Distance(place[e.A], place[e.B])
 		total += e.W * float64(d)
 		if d > maxHops {

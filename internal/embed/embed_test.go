@@ -244,8 +244,10 @@ func TestSwapRefineUsesFreeProcessors(t *testing.T) {
 }
 
 // refNNEmbed is the dense NN-Embed the CSR-row scans replaced, kept as
-// the referee: a k x k weight matrix, and both per-step scans over all
-// k clusters.
+// the referee: a k x k weight matrix, every cluster's traffic re-summed
+// at every step, and each free processor's cost summed on its own over
+// all k clusters — the loop NNEmbedCtx's incremental traffic tallies
+// and partner-outer cost array must reproduce float for float.
 func refNNEmbed(cg *graph.TaskGraph, net *topology.Network) ([]int, error) {
 	k := cg.NumTasks
 	live := net.NumLive()
@@ -447,6 +449,42 @@ func TestNNEmbedMatchesDenseReferee(t *testing.T) {
 					if got[c] != want[c] {
 						t.Fatalf("seed %d %s %s k=%d: cluster %d on %d, referee places it on %d", seed, net.Name, name, k, c, got[c], want[c])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestNNEmbedFullMachineMatchesReferee fills every live processor, the
+// multilevel engine's case (one cluster per processor), where the
+// incremental traffic tallies see the most re-tallies and the cost
+// array the fewest free processors: fractional weights on dense cluster
+// graphs, pristine and degraded machines.
+func TestNNEmbedFullMachineMatchesReferee(t *testing.T) {
+	nets := []*topology.Network{
+		topology.Hypercube(5),
+		topology.Mesh(6, 6),
+		topology.Hierarchy(2, 3, 4),
+		topology.Hierarchy(2, 2, 4, 4),
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		r := gen.Rand(seed)
+		for _, base := range nets {
+			net := base
+			if seed%2 == 0 {
+				net, _, _ = gen.Faults(r, base, 2, 4)
+			}
+			k := net.NumLive()
+			g := gen.TaskGraph(r, gen.GraphSize{Tasks: k, Phases: 3, Density: 0.05 + 0.3*r.Float64(), MaxWeight: 9})
+			cg := fractional(g)
+			want, werr := refNNEmbed(cg, net)
+			got, gerr := NNEmbedCtx(context.Background(), cg, net)
+			if werr != nil || gerr != nil {
+				t.Fatalf("seed %d %s k=%d: error %v, referee %v", seed, net.Name, k, gerr, werr)
+			}
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("seed %d %s k=%d: cluster %d on %d, referee places it on %d", seed, net.Name, k, c, got[c], want[c])
 				}
 			}
 		}

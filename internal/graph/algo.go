@@ -58,7 +58,7 @@ func (g *TaskGraph) EdgeCut(part []int) float64 {
 	// not associative, so summing in map order made the cut differ in the
 	// last ulp between runs.
 	var cut float64
-	for _, e := range g.CollapsedEntries(1) {
+	for _, e := range g.CollapsedEntries() {
 		if part[e.A] != part[e.B] {
 			cut += e.W
 		}

@@ -8,13 +8,11 @@ package graph
 
 //oregami:hot
 
-import "oregami/internal/par"
-
 // CSR is the collapsed static task graph in compressed-sparse-row form.
 // Row v spans Adj[Off[v]:Off[v+1]]: the distinct neighbors of task v in
 // ascending order, with W aligned slot for slot carrying the total
 // undirected communication volume between the pair, accumulated in the
-// flatWeights chain order (see the note there) so the floats are
+// buildCSR chain order (see the note there) so the floats are
 // bit-identical to the map-era Undirected values. A CSR is immutable
 // once built and safe to share across goroutines.
 type CSR struct {
@@ -63,59 +61,76 @@ func (c *CSR) NumPairs() int { return len(c.Adj) / 2 }
 
 // triple is one directed contribution to the collapsed graph during the
 // CSR/entries build: the undirected pair (a < b), the comm phase it came
-// from, and its global position in phase-then-edge traversal order. seq
-// makes (a, b, seq) a strict total order, so sorting is deterministic at
-// every worker count, and the stable-by-construction (phase, edge) order
-// within each pair reproduces the exact float addition sequence of the
-// per-phase map accumulation the flat build replaced.
+// from, and its weight. collapseTriples orders triples by (a, b) with
+// stable passes, so within each pair they stay in phase-then-edge
+// traversal order — the exact float addition sequence of the per-phase
+// map accumulation the flat build replaced.
 type triple struct {
 	a, b  int32
 	phase int32
-	seq   int32
 	w     float64
 }
 
 // collapseTriples gathers one triple per non-self directed edge of every
-// phase, in phase-then-edge order, then sorts by (a, b, seq) on up to
-// workers goroutines.
-func (g *TaskGraph) collapseTriples(workers int) []triple {
-	n := 0
+// phase and orders them by (a, b) with two stable counting sorts, first
+// by b, then by a, so each pair's triples keep phase-then-edge order.
+// O(E + N) time. The buffers are fresh, not pooled: a pool keeps them
+// live across garbage collections, which raised peak RSS on a 1e4-task
+// stencil by ~6 MB, several times their size.
+func (g *TaskGraph) collapseTriples() []triple {
+	n := g.NumTasks
+	starts := make([]int32, 2*(n+1))
+	startA, startB := starts[:n+1], starts[n+1:]
+	m := 0
 	for _, p := range g.Comm {
-		n += len(p.Edges)
-	}
-	ts := make([]triple, 0, n)
-	seq := int32(0)
-	for pi, p := range g.Comm {
 		for _, e := range p.Edges {
-			seq++
 			if e.From == e.To {
 				continue
 			}
-			a, b := int32(e.From), int32(e.To)
+			a, b := e.From, e.To
 			if a > b {
 				a, b = b, a
 			}
-			ts = append(ts, triple{a: a, b: b, phase: int32(pi), seq: seq, w: e.Weight})
+			startA[a+1]++
+			startB[b+1]++
+			m++
 		}
 	}
-	par.Sort(workers, ts, func(x, y triple) bool {
-		if x.a != y.a {
-			return x.a < y.a
+	for v := 0; v < n; v++ {
+		startA[v+1] += startA[v]
+		startB[v+1] += startB[v]
+	}
+	// Pass 1 scatters straight from the edge lists into b buckets, in
+	// traversal order; pass 2 stably redistributes them into a buckets.
+	byB := make([]triple, m)
+	for pi, p := range g.Comm {
+		for _, e := range p.Edges {
+			if e.From == e.To {
+				continue
+			}
+			a, b := e.From, e.To
+			if a > b {
+				a, b = b, a
+			}
+			byB[startB[b]] = triple{a: int32(a), b: int32(b), phase: int32(pi), w: e.Weight}
+			startB[b]++
 		}
-		if x.b != y.b {
-			return x.b < y.b
-		}
-		return x.seq < y.seq
-	})
+	}
+	ts := make([]triple, m)
+	for _, t := range byB {
+		ts[startA[t.a]] = t
+		startA[t.a]++
+	}
 	return ts
 }
 
-// foldTriples scans sorted triples and emits one CollapsedEntry per
+// foldTriples scans sorted triples and returns one CollapsedEntry per
 // distinct pair. Within a pair, edge weights accumulate into a per-phase
 // subtotal that is flushed into the pair total at each phase boundary —
 // the exact addition order of the per-phase map merge this replaces, so
 // every weight is bit-identical to the historical value.
-func foldTriples(ts []triple, emit func(CollapsedEntry)) {
+func foldTriples(ts []triple) []CollapsedEntry {
+	out := make([]CollapsedEntry, 0, len(ts))
 	for i := 0; i < len(ts); {
 		a, b := ts[i].a, ts[i].b
 		var total float64
@@ -128,35 +143,54 @@ func foldTriples(ts []triple, emit func(CollapsedEntry)) {
 			}
 			total += sub
 		}
-		emit(CollapsedEntry{A: int(a), B: int(b), W: total})
+		out = append(out, CollapsedEntry{A: int(a), B: int(b), W: total})
 	}
+	return out
 }
 
-// buildCSR constructs the CSR from the sorted entries.
-func buildCSR(n int, entries []CollapsedEntry) *CSR {
+// buildCSR constructs the CSR from the sorted triples, summing each
+// pair's run in one chain over phase-then-edge order, the order of the
+// historical map implementation.
+//
+// Accumulation order note: this chain order differs from foldTriples'
+// (CollapsedEntries), which keeps the two-level per-phase-subtotal order
+// of the historical parallel merge. The two can differ in the last ulp
+// on non-integer weights, and callers were written against one or the
+// other, so both orders are preserved exactly.
+func buildCSR(n int, ts []triple) *CSR {
 	c := &CSR{N: n, Off: make([]int32, n+1)}
-	for _, e := range entries {
-		c.Off[e.A+1]++
-		c.Off[e.B+1]++
+	pairs := 0
+	for i, t := range ts {
+		if i == 0 || t.a != ts[i-1].a || t.b != ts[i-1].b {
+			c.Off[t.a+1]++
+			c.Off[t.b+1]++
+			pairs++
+		}
 	}
 	for v := 0; v < n; v++ {
 		c.Off[v+1] += c.Off[v]
 	}
-	c.Adj = make([]int32, len(entries)*2)
-	c.W = make([]float64, len(entries)*2)
+	c.Adj = make([]int32, 2*pairs)
+	c.W = make([]float64, 2*pairs)
 	next := make([]int32, n)
 	copy(next, c.Off[:n])
-	// Entries arrive sorted by (A, B). For a fixed row v, neighbors
-	// u < v stream in ascending u (from entries (u, v) whose A = u < v
-	// sort first), then neighbors u > v in ascending u (from entries
-	// (v, u)) — each row fills already sorted, no per-row sort.
-	for _, e := range entries {
-		c.Adj[next[e.A]] = int32(e.B)
-		c.W[next[e.A]] = e.W
-		next[e.A]++
-		c.Adj[next[e.B]] = int32(e.A)
-		c.W[next[e.B]] = e.W
-		next[e.B]++
+	// Pairs arrive sorted by (a, b). For a fixed row v, neighbors u < v
+	// stream in ascending u (from pairs (u, v) whose a = u < v sort
+	// first), then neighbors u > v in ascending u (from pairs (v, u)) —
+	// each row fills already sorted, no per-row sort.
+	for i := 0; i < len(ts); {
+		a, b := ts[i].a, ts[i].b
+		var total float64
+		for i < len(ts) && ts[i].a == a && ts[i].b == b {
+			total += ts[i].w
+			i++
+		}
+		c.Adj[next[a]] = b
+		c.W[next[a]] = total
+		next[a]++
+		c.Adj[next[b]] = a
+		c.W[next[b]] = total
+		next[b]++
 	}
 	return c
 }
@@ -170,7 +204,7 @@ func (g *TaskGraph) CSR() *CSR {
 	if c := g.csr.Load(); c != nil {
 		return c
 	}
-	c := buildCSR(g.NumTasks, g.flatWeights())
+	c := buildCSR(g.NumTasks, g.collapseTriples())
 	if g.csr.CompareAndSwap(nil, c) {
 		return c
 	}

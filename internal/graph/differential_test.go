@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -114,47 +113,45 @@ func TestCollapsedWeightsMatchesMapReferee(t *testing.T) {
 				t.Fatalf("pair %v: CSR weight %v (present=%v), chain referee %v", k, got, ok, w)
 			}
 		}
-		entries := g.CollapsedEntries(1)
-		if len(entries) != len(phase) {
-			t.Fatalf("CollapsedEntries has %d pairs, referee %d", len(entries), len(phase))
-		}
-		for _, e := range entries {
-			if w := phase[[2]int{e.A, e.B}]; !sameBits(e.W, w) {
-				t.Fatalf("pair (%d,%d): entry weight %v, phase referee %v", e.A, e.B, e.W, w)
-			}
-		}
+		checkEntries(t, g.CollapsedEntries(), phase)
 	})
 }
 
+// TestCollapsedEntriesMatchesMapRefereeAtEveryBudget referees
+// CollapsedEntries on gen's integer weights against the per-phase map
+// merge: every entry normalized (A < B), the slice strictly sorted by
+// (A, B), every weight bit-identical. (The collapse once took a worker
+// budget and this test swept it; the collapse is sequential now.)
 func TestCollapsedEntriesMatchesMapRefereeAtEveryBudget(t *testing.T) {
-	budgets := []int{1, 2, 4, runtime.GOMAXPROCS(0) + 3}
 	gen.ForEachSeed(t, 60, func(t *testing.T, seed int64, r *rand.Rand) {
 		g := gen.TaskGraph(r, diffSize(r))
-		ref := refPhaseWeights(g)
-		for _, workers := range budgets {
-			entries := g.CollapsedEntries(workers)
-			if len(entries) != len(ref) {
-				t.Fatalf("workers=%d: %d entries, referee %d pairs", workers, len(entries), len(ref))
-			}
-			for i, e := range entries {
-				if i > 0 && (entries[i-1].A > e.A || (entries[i-1].A == e.A && entries[i-1].B >= e.B)) {
-					t.Fatalf("workers=%d: entries not strictly sorted at %d: %v then %v",
-						workers, i, entries[i-1], e)
-				}
-				if e.A >= e.B {
-					t.Fatalf("workers=%d: entry %d not normalized: %+v", workers, i, e)
-				}
-				w, ok := ref[[2]int{e.A, e.B}]
-				if !ok {
-					t.Fatalf("workers=%d: entry (%d,%d) not in referee", workers, e.A, e.B)
-				}
-				if !sameBits(e.W, w) {
-					t.Fatalf("workers=%d: pair (%d,%d) weight %v (bits %x), referee %v (bits %x)",
-						workers, e.A, e.B, e.W, math.Float64bits(e.W), w, math.Float64bits(w))
-				}
-			}
-		}
+		checkEntries(t, g.CollapsedEntries(), refPhaseWeights(g))
 	})
+}
+
+// checkEntries fails unless entries is exactly ref, normalized and
+// strictly sorted by (A, B), with bit-identical weights.
+func checkEntries(t *testing.T, entries []graph.CollapsedEntry, ref map[[2]int]float64) {
+	t.Helper()
+	if len(entries) != len(ref) {
+		t.Fatalf("%d entries, referee %d pairs", len(entries), len(ref))
+	}
+	for i, e := range entries {
+		if i > 0 && (entries[i-1].A > e.A || (entries[i-1].A == e.A && entries[i-1].B >= e.B)) {
+			t.Fatalf("entries not strictly sorted at %d: %v then %v", i, entries[i-1], e)
+		}
+		if e.A >= e.B {
+			t.Fatalf("entry %d not normalized: %+v", i, e)
+		}
+		w, ok := ref[[2]int{e.A, e.B}]
+		if !ok {
+			t.Fatalf("entry (%d,%d) not in referee", e.A, e.B)
+		}
+		if !sameBits(e.W, w) {
+			t.Fatalf("pair (%d,%d) weight %v (bits %x), referee %v (bits %x)",
+				e.A, e.B, e.W, math.Float64bits(e.W), w, math.Float64bits(w))
+		}
+	}
 }
 
 func TestCSRMatchesMapReferee(t *testing.T) {
@@ -230,7 +227,7 @@ func TestUndirectedMatchesCSR(t *testing.T) {
 	gen.ForEachSeed(t, 40, func(t *testing.T, seed int64, r *rand.Rand) {
 		g := gen.TaskGraph(r, diffSize(r))
 		c := g.CSR()
-		entries := g.CollapsedEntries(1)
+		entries := g.CollapsedEntries()
 		if c.NumPairs() != len(entries) {
 			t.Fatalf("CSR has %d pairs, CollapsedEntries %d", c.NumPairs(), len(entries))
 		}

@@ -1,31 +1,44 @@
 package graph_test
 
 // FuzzCSRRoundTrip drives the generator with fuzzer-chosen shape
-// parameters, builds the flat CSR, and referees every query against the
-// map algorithms the CSR replaced. Registered in `make fuzz`.
+// parameters, builds the flat CSR and the collapsed entries, and
+// referees every query against the map algorithms they replaced.
+// Registered in `make fuzz`.
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"oregami/internal/gen"
+	"oregami/internal/graph"
 )
 
 func FuzzCSRRoundTrip(f *testing.F) {
 	// Seed corpus: the shapes the differential tests sweep, plus
-	// degenerate single-task and edge-free graphs.
-	f.Add(int64(1), uint8(8), uint8(2), uint8(40), uint8(4))
-	f.Add(int64(7), uint8(160), uint8(8), uint8(15), uint8(8))
-	f.Add(int64(3), uint8(1), uint8(1), uint8(0), uint8(1))
-	f.Add(int64(42), uint8(31), uint8(5), uint8(90), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, tasks, phases, density, maxW uint8) {
+	// degenerate single-task and edge-free graphs. mix bit 0 divides the
+	// weights by 3; mix>>1 extra self-loops and cross-phase duplicates.
+	f.Add(int64(1), uint8(8), uint8(2), uint8(40), uint8(4), uint8(0))
+	f.Add(int64(7), uint8(160), uint8(8), uint8(15), uint8(8), uint8(33))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(0), uint8(1), uint8(7))
+	f.Add(int64(42), uint8(31), uint8(5), uint8(90), uint8(3), uint8(0))
+	f.Add(int64(5), uint8(12), uint8(4), uint8(30), uint8(9), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, tasks, phases, density, maxW, mix uint8) {
 		size := gen.GraphSize{
 			Tasks:     1 + int(tasks)%64,
 			Phases:    1 + int(phases)%6,
 			Density:   float64(density%101) / 100,
 			MaxWeight: 1 + int(maxW)%9,
 		}
-		g := gen.TaskGraph(gen.Rand(seed), size)
+		r := gen.Rand(seed)
+		g := gen.TaskGraph(r, size)
+		if mix&1 == 1 {
+			// Integer weights sum exactly in any order; thirds do not,
+			// so only these inputs can see an addition-order bug.
+			g = thirds(g)
+		}
+		tangle(g, r, int(mix>>1))
+		checkEntries(t, g.CollapsedEntries(), refPhaseWeights(g))
 		ref := refChainWeights(g)
 		c := g.CSR()
 		if c.N != g.NumTasks || c.NumPairs() != len(ref) {
@@ -67,4 +80,25 @@ func FuzzCSRRoundTrip(f *testing.F) {
 			t.Fatalf("CSR holds %d directed slots, referee implies %d", directed, 2*len(ref))
 		}
 	})
+}
+
+// tangle adds k edges gen never makes: self-loops, which the collapse
+// must drop, and copies of existing edges (either direction) into a
+// random phase, so one pair collects contributions from several phases
+// in an interleaved order.
+func tangle(g *graph.TaskGraph, r *rand.Rand, k int) {
+	for i := 0; i < k; i++ {
+		dst := g.Comm[r.Intn(len(g.Comm))]
+		src := g.Comm[r.Intn(len(g.Comm))]
+		if len(src.Edges) == 0 || r.Intn(4) == 0 {
+			v := r.Intn(g.NumTasks)
+			g.AddEdge(dst, v, v, 1+float64(r.Intn(5))/3)
+			continue
+		}
+		e := src.Edges[r.Intn(len(src.Edges))]
+		if r.Intn(2) == 0 {
+			e.From, e.To = e.To, e.From
+		}
+		g.AddEdge(dst, e.From, e.To, e.Weight)
+	}
 }

@@ -264,30 +264,6 @@ func (g *TaskGraph) Clone() *TaskGraph {
 	return c
 }
 
-// flatWeights returns the collapsed pairs sorted by (A, B) with each
-// weight accumulated in one chain over phase-then-edge order, the order
-// of the historical map implementation; buildCSR consumes it.
-//
-// Accumulation order note: this chain order differs from
-// CollapsedEntries, which keeps the two-level per-phase-subtotal order
-// of the historical parallel merge. The two can differ in the last ulp
-// on non-integer weights, and callers were written against one or the
-// other, so both orders are preserved exactly.
-func (g *TaskGraph) flatWeights() []CollapsedEntry {
-	ts := g.collapseTriples(1)
-	out := make([]CollapsedEntry, 0, len(ts))
-	for i := 0; i < len(ts); {
-		a, b := ts[i].a, ts[i].b
-		var total float64
-		for i < len(ts) && ts[i].a == a && ts[i].b == b {
-			total += ts[i].w
-			i++
-		}
-		out = append(out, CollapsedEntry{A: int(a), B: int(b), W: total})
-	}
-	return out
-}
-
 // CollapsedEntry is one undirected edge of the collapsed static graph:
 // tasks A < B with total inter-task volume W.
 type CollapsedEntry struct {
@@ -296,19 +272,15 @@ type CollapsedEntry struct {
 }
 
 // CollapsedEntries returns the collapsed static graph as a slice sorted
-// by (A, B), built flat (no maps): directed edges become (pair, phase,
-// seq) triples sorted on up to workers goroutines, then per-pair runs
-// fold into weights. The per-pair addition order is fixed — edge order
-// within a phase into a subtotal, subtotals added in phase declaration
-// order — regardless of the worker count, so the weights (and
-// everything contracted from them) are bit-identical at any
-// parallelism. Contraction consumes this form; random-access callers
-// use the CSR.
-func (g *TaskGraph) CollapsedEntries(workers int) []CollapsedEntry {
-	ts := g.collapseTriples(workers)
-	out := make([]CollapsedEntry, 0, len(ts))
-	foldTriples(ts, func(e CollapsedEntry) { out = append(out, e) })
-	return out
+// by (A, B), built flat (no maps): directed edges become (pair, phase)
+// triples ordered by two counting sorts, then per-pair runs fold into
+// weights. The per-pair addition order is fixed — edge order within a
+// phase into a subtotal, subtotals added in phase declaration order —
+// so the weights (and everything contracted from them) are
+// bit-identical to the historical per-phase map merge. Contraction
+// consumes this form; random-access callers use the CSR.
+func (g *TaskGraph) CollapsedEntries() []CollapsedEntry {
+	return foldTriples(g.collapseTriples())
 }
 
 // Degree returns the number of distinct neighbors of task v in the

@@ -115,7 +115,7 @@ func TestCollapsedWeightsMergesDirections(t *testing.T) {
 	g.AddEdge(p, 1, 0, 4)
 	q := g.AddCommPhase("q")
 	g.AddEdge(q, 0, 1, 5)
-	w := g.CollapsedEntries(1)
+	w := g.CollapsedEntries()
 	if len(w) != 1 {
 		t.Fatalf("collapsed graph has %d entries, want 1", len(w))
 	}
@@ -128,7 +128,7 @@ func TestCollapsedIgnoresSelfLoops(t *testing.T) {
 	g := New("g", 2)
 	p := g.AddCommPhase("p")
 	g.AddEdge(p, 0, 0, 7)
-	if len(g.CollapsedEntries(1)) != 0 || g.CSR().NumPairs() != 0 {
+	if len(g.CollapsedEntries()) != 0 || g.CSR().NumPairs() != 0 {
 		t.Error("self loop appeared in collapsed weights")
 	}
 }

@@ -469,8 +469,12 @@ func (s *blossomState) solve() {
 		for i := range s.bestEdge {
 			s.bestEdge[i] = -1
 		}
-		for b := n; b < 2*n; b++ {
-			s.blossomBestEdges[b] = nil
+		// A freed blossom's list is already nil, so with none live the
+		// reset is a no-op.
+		if s.anyBlossom() {
+			for b := n; b < 2*n; b++ {
+				s.blossomBestEdges[b] = nil
+			}
 		}
 		for i := range s.allowEdge {
 			s.allowEdge[i] = false
@@ -619,6 +623,11 @@ func (s *blossomState) solve() {
 		if !augmented {
 			break
 		}
+		// End of stage: expand zero-dual top-level S-blossoms. Most
+		// stages of a sparse matching build none, so skip the scan then.
+		if !s.anyBlossom() {
+			continue
+		}
 		for b := n; b < 2*n; b++ {
 			if s.blossomParent[b] == -1 && s.blossomBase[b] >= 0 &&
 				s.label[b] == 1 && s.dualVar[b] == 0 {
@@ -627,6 +636,9 @@ func (s *blossomState) solve() {
 		}
 	}
 }
+
+// anyBlossom reports whether some blossom id n..2n-1 is in use.
+func (s *blossomState) anyBlossom() bool { return len(s.unusedBlossoms) < s.n }
 
 func (s *blossomState) minVertexDual() float64 {
 	m := s.dualVar[0]

@@ -303,3 +303,31 @@ func TestOutOfRangePanics(t *testing.T) {
 	}()
 	MaxWeightMatching(2, []WEdge{{0, 5, 1}}, false)
 }
+
+// TestUnusedBlossomIdsAreBlank checks the premise that lets solve skip
+// its per-stage scans over blossom ids n..2n-1 when none is live: an
+// id on the free list has no base, children or best-edge list, so the
+// scans could not touch it. The differential tests cannot see the skip,
+// because leaving a zero-dual blossom unexpanded keeps the matching
+// optimal. Dense random graphs form (and expand) many blossoms.
+func TestUnusedBlossomIdsAreBlank(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	live := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 3 + r.Intn(12)
+		s := newBlossomState(n, randGraph(r, n, n*(n-1)/2, 9), trial%2 == 0)
+		s.solve()
+		if len(s.unusedBlossoms) < n {
+			live++
+		}
+		for _, b := range s.unusedBlossoms {
+			if s.blossomBase[b] != -1 || s.blossomChilds[b] != nil || s.blossomBestEdges[b] != nil {
+				t.Fatalf("trial %d: free blossom id %d has base %d, %d children, best edges %v",
+					trial, b, s.blossomBase[b], len(s.blossomChilds[b]), s.blossomBestEdges[b])
+			}
+		}
+	}
+	if live == 0 {
+		t.Fatal("no trial ended with a live blossom; the premise was never exercised")
+	}
+}
