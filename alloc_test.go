@@ -27,6 +27,7 @@ import (
 	"oregami/internal/gen"
 	"oregami/internal/graph"
 	"oregami/internal/larcs"
+	"oregami/internal/mapping"
 	"oregami/internal/metrics"
 	"oregami/internal/multilevel"
 	"oregami/internal/route"
@@ -99,6 +100,26 @@ func TestAllocBudgetCollapsedEntries(t *testing.T) {
 	gate(t, "CollapsedEntries()", 8, func() {
 		if len(c.Graph.CollapsedEntries()) == 0 {
 			t.Fatal("no entries")
+		}
+	})
+}
+
+// TestAllocBudgetClusterGraph gates mapping.ClusterGraph, which every
+// arbitrary, group and canned-fold request runs, on allocWorkload
+// contracted by MWM-Contract: 54 allocs/op, a fixed few per phase
+// (the fold's buffers and the phase's edges). The per-phase map, order
+// slice and sort.Slice it replaced took 301. Ceiling ~2x.
+func TestAllocBudgetClusterGraph(t *testing.T) {
+	c, net := allocWorkload(t)
+	part, err := contract.MWMContract(c.Graph, contract.Options{Processors: net.N, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mapping.New(c.Graph, net)
+	m.Part = part
+	gate(t, "ClusterGraph", 108, func() {
+		if m.ClusterGraph().NumTasks != net.N {
+			t.Fatal("cluster count changed")
 		}
 	})
 }

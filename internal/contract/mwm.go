@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"oregami/internal/graph"
 	"oregami/internal/matching"
@@ -133,12 +132,7 @@ func MWMContract(g *graph.TaskGraph, opt Options) ([]int, error) {
 	for i, id := range ids {
 		index[id] = i
 	}
-	// Aggregate intercluster weights, scanning entries in their sorted
-	// order so each blossom edge weight accumulates in a fixed sequence —
-	// the same per-pair addition order the map[[2]int]float64 table this
-	// replaces saw. Either path yields the edge list already in the
-	// strict (I, J) order the matching needs, so no re-sort.
-	edges := interclusterEdges(entries, u, index, size, k, b, scr)
+	edges := interclusterEdges(entries, u, index, size, k, b)
 	mate := matching.MaxWeightMatching(k, edges, false)
 	merged := k
 	for i, m := range mate {
@@ -158,44 +152,13 @@ func MWMContract(g *graph.TaskGraph, opt Options) ([]int, error) {
 
 // interclusterEdges folds the collapsed entries into the weighted
 // cluster graph the matching stage runs on: one WEdge per connected
-// cluster pair whose combined size fits b, ascending by (I, J). Both
-// paths accumulate each pair's weight in entries order, so the sums are
-// bit-identical to the historical map accumulation.
-func interclusterEdges(entries []graph.CollapsedEntry, u *unionFind, index, size []int, k, b int, scr *graph.Scratch) []matching.WEdge {
-	if k <= 512 {
-		// Dense k x k half-matrix; after greedyMerge k is at most 2P.
-		agg := scr.Float64s(k * k)
-		hit := scr.Bools(k * k)
-		for _, e := range entries {
-			a, bb := index[u.find(e.A)], index[u.find(e.B)]
-			if a == bb {
-				continue
-			}
-			if a > bb {
-				a, bb = bb, a
-			}
-			agg[a*k+bb] += e.W
-			hit[a*k+bb] = true
-		}
-		edges := make([]matching.WEdge, 0, k*(k-1)/2)
-		for a := 0; a < k; a++ {
-			for bb := a + 1; bb < k; bb++ {
-				if hit[a*k+bb] && size[a]+size[bb] <= b {
-					edges = append(edges, matching.WEdge{I: a, J: bb, Weight: agg[a*k+bb]})
-				}
-			}
-		}
-		return edges
-	}
-	// Large k (SkipGreedy ablation on a big graph): sort (a, b, entry)
-	// triples and fold runs — per-pair additions still happen in entries
-	// order, so the weights match the dense path bit for bit.
-	type aggTriple struct {
-		a, b, i int32
-		w       float64
-	}
-	ts := make([]aggTriple, 0, len(entries))
-	for i, e := range entries {
+// cluster pair whose combined size fits b, ascending by (I, J), the
+// strict order the matching needs. graph.FoldTerms sums each pair's
+// weight in entries order, so the sums are bit-identical to the
+// historical map accumulation.
+func interclusterEdges(entries []graph.CollapsedEntry, u *unionFind, index, size []int, k, b int) []matching.WEdge {
+	ts := make([]graph.Term, 0, len(entries))
+	for _, e := range entries {
 		a, bb := index[u.find(e.A)], index[u.find(e.B)]
 		if a == bb {
 			continue
@@ -203,27 +166,14 @@ func interclusterEdges(entries []graph.CollapsedEntry, u *unionFind, index, size
 		if a > bb {
 			a, bb = bb, a
 		}
-		ts = append(ts, aggTriple{a: int32(a), b: int32(bb), i: int32(i), w: e.W})
+		ts = append(ts, graph.Term{A: int32(a), B: int32(bb), W: e.W})
 	}
-	sort.Slice(ts, func(x, y int) bool {
-		if ts[x].a != ts[y].a {
-			return ts[x].a < ts[y].a
-		}
-		if ts[x].b != ts[y].b {
-			return ts[x].b < ts[y].b
-		}
-		return ts[x].i < ts[y].i
-	})
-	var edges []matching.WEdge
-	for i := 0; i < len(ts); {
-		a, bb := ts[i].a, ts[i].b
-		w := 0.0
-		for i < len(ts) && ts[i].a == a && ts[i].b == bb {
-			w += ts[i].w
-			i++
-		}
-		if size[a]+size[bb] <= b {
-			edges = append(edges, matching.WEdge{I: int(a), J: int(bb), Weight: w})
+	graph.SortTerms(ts, k)
+	pairs := graph.FoldTerms(ts)
+	edges := make([]matching.WEdge, 0, len(pairs))
+	for _, t := range pairs {
+		if size[t.A]+size[t.B] <= b {
+			edges = append(edges, matching.WEdge{I: int(t.A), J: int(t.B), Weight: t.W})
 		}
 	}
 	return edges

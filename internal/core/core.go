@@ -580,13 +580,12 @@ func mapArbitrary(ctx context.Context, req Request, res *Result, trail func(stri
 		}
 	}
 	req.observe("contract", contractStart)
-	cg := m.ClusterGraph()
 	embedStart := time.Now()
+	cg := m.ClusterGraph()
 	place, err := embed.NNEmbedCtx(ctx, cg, req.Net)
 	if err != nil {
 		return nil, err
 	}
-	req.observe("embed", embedStart)
 	m.Place = place
 	m.Method = "mwm-contract+nn-embed"
 	if req.Refine {
@@ -594,6 +593,7 @@ func mapArbitrary(ctx context.Context, req Request, res *Result, trail func(stri
 		trail("arbitrary: swap refinement applied %d moves", moves)
 		m.Method += "+refine"
 	}
+	req.observe("embed", embedStart)
 	return m, nil
 }
 

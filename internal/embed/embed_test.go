@@ -382,18 +382,6 @@ func refNNEmbed(cg *graph.TaskGraph, net *topology.Network) ([]int, error) {
 	return place, nil
 }
 
-// fractional returns g with every edge weight divided by 3, so the
-// per-cluster sums are inexact and depend on their addition order.
-func fractional(g *graph.TaskGraph) *graph.TaskGraph {
-	f := g.Clone()
-	for _, p := range f.Comm {
-		for i := range p.Edges {
-			p.Edges[i].Weight /= 3
-		}
-	}
-	return f
-}
-
 // isolating returns g without the edges touching tasks that are
 // multiples of 4, which leaves those clusters isolated and exercises the
 // lowest-id fallback pick.
@@ -436,8 +424,8 @@ func TestNNEmbedMatchesDenseReferee(t *testing.T) {
 				cg   *graph.TaskGraph
 			}{
 				{"integer", g},
-				{"fractional", fractional(g)},
-				{"isolated", isolating(fractional(g))},
+				{"fractional", gen.Thirds(g)},
+				{"isolated", isolating(gen.Thirds(g))},
 			} {
 				name, cg := tc.name, tc.cg
 				want, werr := refNNEmbed(cg, net)
@@ -476,7 +464,7 @@ func TestNNEmbedFullMachineMatchesReferee(t *testing.T) {
 			}
 			k := net.NumLive()
 			g := gen.TaskGraph(r, gen.GraphSize{Tasks: k, Phases: 3, Density: 0.05 + 0.3*r.Float64(), MaxWeight: 9})
-			cg := fractional(g)
+			cg := gen.Thirds(g)
 			want, werr := refNNEmbed(cg, net)
 			got, gerr := NNEmbedCtx(context.Background(), cg, net)
 			if werr != nil || gerr != nil {

@@ -80,6 +80,19 @@ func TaskGraph(r *rand.Rand, s GraphSize) *graph.TaskGraph {
 	return g
 }
 
+// Thirds returns a copy of g with every edge weight divided by 3. The
+// integer weights TaskGraph draws sum exactly in any order; thirds do
+// not, so differential tests on them can see an addition-order change.
+func Thirds(g *graph.TaskGraph) *graph.TaskGraph {
+	f := g.Clone()
+	for _, p := range f.Comm {
+		for i := range p.Edges {
+			p.Edges[i].Weight /= 3
+		}
+	}
+	return f
+}
+
 // Cayley generates a node-symmetric task graph: the Cayley graph of the
 // cyclic group Z_n with 1..3 random generators, one communication phase
 // per generator (task i sends to i+g mod n). Every phase is a bijection,

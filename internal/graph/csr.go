@@ -11,10 +11,9 @@ package graph
 // CSR is the collapsed static task graph in compressed-sparse-row form.
 // Row v spans Adj[Off[v]:Off[v+1]]: the distinct neighbors of task v in
 // ascending order, with W aligned slot for slot carrying the total
-// undirected communication volume between the pair, accumulated in the
-// buildCSR chain order (see the note there) so the floats are
-// bit-identical to the map-era Undirected values. A CSR is immutable
-// once built and safe to share across goroutines.
+// undirected communication volume between the pair, summed by FoldTerms
+// so the floats are bit-identical to the map-era Undirected values. A
+// CSR is immutable once built and safe to share across goroutines.
 type CSR struct {
 	// N is the number of tasks (rows).
 	N int
@@ -59,50 +58,77 @@ func (c *CSR) WeightBetween(a, b int) (float64, bool) {
 // NumPairs returns the number of undirected collapsed edges.
 func (c *CSR) NumPairs() int { return len(c.Adj) / 2 }
 
-// triple is one directed contribution to the collapsed graph during the
-// CSR/entries build: the undirected pair (a < b), the comm phase it came
-// from, and its weight. collapseTriples orders triples by (a, b) with
-// stable passes, so within each pair they stay in phase-then-edge
-// traversal order — the exact float addition sequence of the per-phase
-// map accumulation the flat build replaced.
-type triple struct {
-	a, b  int32
-	phase int32
-	w     float64
+// Term is one weighted contribution to an (A, B) pair: a task pair of
+// the collapsed graph, with the comm phase it came from, or a cluster
+// pair of a cluster graph. Every builder of such a graph sorts its terms
+// with SortTerms and sums them with FoldTerms (CollapsedEntries: with
+// foldPhases), so each adds its floats in an order fixed here.
+type Term struct {
+	A, B  int32
+	Phase int32
+	W     float64
 }
 
-// collapseTriples gathers one triple per non-self directed edge of every
-// phase and orders them by (a, b) with two stable counting sorts, first
-// by b, then by a, so each pair's triples keep phase-then-edge order.
-// O(E + N) time. The buffers are fresh, not pooled: a pool keeps them
-// live across garbage collections, which raised peak RSS on a 1e4-task
+// SortTerms orders ts by (A, B) in place with two stable counting
+// sorts, first by B, then by A, so each pair's terms keep their input
+// order. Every id must lie in [0, n). O(len(ts) + n) time. The second
+// buffer and the counts are fresh, not pooled: a pool keeps them live
+// across garbage collections, which raised peak RSS on a 1e4-task
 // stencil by ~6 MB, several times their size.
-func (g *TaskGraph) collapseTriples() []triple {
-	n := g.NumTasks
+func SortTerms(ts []Term, n int) {
+	if len(ts) < 2 {
+		return
+	}
 	starts := make([]int32, 2*(n+1))
 	startA, startB := starts[:n+1], starts[n+1:]
-	m := 0
-	for _, p := range g.Comm {
-		for _, e := range p.Edges {
-			if e.From == e.To {
-				continue
-			}
-			a, b := e.From, e.To
-			if a > b {
-				a, b = b, a
-			}
-			startA[a+1]++
-			startB[b+1]++
-			m++
-		}
+	for _, t := range ts {
+		startA[t.A+1]++
+		startB[t.B+1]++
 	}
 	for v := 0; v < n; v++ {
 		startA[v+1] += startA[v]
 		startB[v+1] += startB[v]
 	}
-	// Pass 1 scatters straight from the edge lists into b buckets, in
-	// traversal order; pass 2 stably redistributes them into a buckets.
-	byB := make([]triple, m)
+	byB := make([]Term, len(ts))
+	for _, t := range ts {
+		byB[startB[t.B]] = t
+		startB[t.B]++
+	}
+	for _, t := range byB {
+		ts[startA[t.A]] = t
+		startA[t.A]++
+	}
+}
+
+// FoldTerms sums each run of equal (A, B) in ts, sorted by SortTerms,
+// in one addition chain from zero in input order, and compacts the sums
+// to the front: it returns ts[:pairs], one term per distinct pair,
+// ascending by (A, B), each keeping its run's first Phase. The historical
+// map accumulations (pair by pair, `w[pair] += term`) added in exactly
+// this order, so the sums are bit-identical to theirs.
+func FoldTerms(ts []Term) []Term {
+	out := ts[:0]
+	for i := 0; i < len(ts); {
+		t := ts[i]
+		var w float64
+		for ; i < len(ts) && ts[i].A == t.A && ts[i].B == t.B; i++ {
+			w += ts[i].W
+		}
+		t.W = w
+		out = append(out, t)
+	}
+	return out
+}
+
+// collapseTerms gathers one term per non-self directed edge of every
+// phase, on the undirected pair (a < b), and sorts them, so each pair's
+// terms keep phase-then-edge traversal order.
+func (g *TaskGraph) collapseTerms() []Term {
+	m := 0
+	for _, p := range g.Comm {
+		m += len(p.Edges)
+	}
+	ts := make([]Term, 0, m)
 	for pi, p := range g.Comm {
 		for _, e := range p.Edges {
 			if e.From == e.To {
@@ -112,33 +138,33 @@ func (g *TaskGraph) collapseTriples() []triple {
 			if a > b {
 				a, b = b, a
 			}
-			byB[startB[b]] = triple{a: int32(a), b: int32(b), phase: int32(pi), w: e.Weight}
-			startB[b]++
+			ts = append(ts, Term{A: int32(a), B: int32(b), Phase: int32(pi), W: e.Weight})
 		}
 	}
-	ts := make([]triple, m)
-	for _, t := range byB {
-		ts[startA[t.a]] = t
-		startA[t.a]++
-	}
+	SortTerms(ts, g.NumTasks)
 	return ts
 }
 
-// foldTriples scans sorted triples and returns one CollapsedEntry per
+// foldPhases scans sorted terms and returns one CollapsedEntry per
 // distinct pair. Within a pair, edge weights accumulate into a per-phase
 // subtotal that is flushed into the pair total at each phase boundary —
 // the exact addition order of the per-phase map merge this replaces, so
 // every weight is bit-identical to the historical value.
-func foldTriples(ts []triple) []CollapsedEntry {
+//
+// Accumulation order note: this order differs from FoldTerms' single
+// chain, which the CSR uses. The two can differ in the last ulp on
+// non-integer weights, and callers were written against one or the
+// other, so both orders are preserved exactly.
+func foldPhases(ts []Term) []CollapsedEntry {
 	out := make([]CollapsedEntry, 0, len(ts))
 	for i := 0; i < len(ts); {
-		a, b := ts[i].a, ts[i].b
+		a, b := ts[i].A, ts[i].B
 		var total float64
-		for i < len(ts) && ts[i].a == a && ts[i].b == b {
-			phase := ts[i].phase
+		for i < len(ts) && ts[i].A == a && ts[i].B == b {
+			phase := ts[i].Phase
 			var sub float64
-			for i < len(ts) && ts[i].a == a && ts[i].b == b && ts[i].phase == phase {
-				sub += ts[i].w
+			for i < len(ts) && ts[i].A == a && ts[i].B == b && ts[i].Phase == phase {
+				sub += ts[i].W
 				i++
 			}
 			total += sub
@@ -148,49 +174,32 @@ func foldTriples(ts []triple) []CollapsedEntry {
 	return out
 }
 
-// buildCSR constructs the CSR from the sorted triples, summing each
-// pair's run in one chain over phase-then-edge order, the order of the
-// historical map implementation.
-//
-// Accumulation order note: this chain order differs from foldTriples'
-// (CollapsedEntries), which keeps the two-level per-phase-subtotal order
-// of the historical parallel merge. The two can differ in the last ulp
-// on non-integer weights, and callers were written against one or the
-// other, so both orders are preserved exactly.
-func buildCSR(n int, ts []triple) *CSR {
+// buildCSR constructs the CSR from the folded pairs (FoldTerms over the
+// collapsed terms).
+func buildCSR(n int, pairs []Term) *CSR {
 	c := &CSR{N: n, Off: make([]int32, n+1)}
-	pairs := 0
-	for i, t := range ts {
-		if i == 0 || t.a != ts[i-1].a || t.b != ts[i-1].b {
-			c.Off[t.a+1]++
-			c.Off[t.b+1]++
-			pairs++
-		}
+	for _, t := range pairs {
+		c.Off[t.A+1]++
+		c.Off[t.B+1]++
 	}
 	for v := 0; v < n; v++ {
 		c.Off[v+1] += c.Off[v]
 	}
-	c.Adj = make([]int32, 2*pairs)
-	c.W = make([]float64, 2*pairs)
+	c.Adj = make([]int32, 2*len(pairs))
+	c.W = make([]float64, 2*len(pairs))
 	next := make([]int32, n)
 	copy(next, c.Off[:n])
 	// Pairs arrive sorted by (a, b). For a fixed row v, neighbors u < v
 	// stream in ascending u (from pairs (u, v) whose a = u < v sort
 	// first), then neighbors u > v in ascending u (from pairs (v, u)) —
 	// each row fills already sorted, no per-row sort.
-	for i := 0; i < len(ts); {
-		a, b := ts[i].a, ts[i].b
-		var total float64
-		for i < len(ts) && ts[i].a == a && ts[i].b == b {
-			total += ts[i].w
-			i++
-		}
-		c.Adj[next[a]] = b
-		c.W[next[a]] = total
-		next[a]++
-		c.Adj[next[b]] = a
-		c.W[next[b]] = total
-		next[b]++
+	for _, t := range pairs {
+		c.Adj[next[t.A]] = t.B
+		c.W[next[t.A]] = t.W
+		next[t.A]++
+		c.Adj[next[t.B]] = t.A
+		c.W[next[t.B]] = t.W
+		next[t.B]++
 	}
 	return c
 }
@@ -204,7 +213,7 @@ func (g *TaskGraph) CSR() *CSR {
 	if c := g.csr.Load(); c != nil {
 		return c
 	}
-	c := buildCSR(g.NumTasks, g.collapseTriples())
+	c := buildCSR(g.NumTasks, FoldTerms(g.collapseTerms()))
 	if g.csr.CompareAndSwap(nil, c) {
 		return c
 	}

@@ -81,19 +81,6 @@ func diffSize(r *rand.Rand) gen.GraphSize {
 	}
 }
 
-// thirds copies g with every edge weight divided by 3, so pair sums
-// become sensitive to addition order.
-func thirds(g *graph.TaskGraph) *graph.TaskGraph {
-	f := graph.New(g.Name, g.NumTasks)
-	for _, p := range g.Comm {
-		fp := f.AddCommPhase(p.Name)
-		for _, e := range p.Edges {
-			f.AddEdge(fp, e.From, e.To, e.Weight/3)
-		}
-	}
-	return f
-}
-
 // TestCollapsedWeightsMatchesMapReferee checks both accumulation orders
 // on fractional weights, where they can differ in the last ulp: the CSR
 // must match the single-chain referee and CollapsedEntries the
@@ -102,7 +89,7 @@ func thirds(g *graph.TaskGraph) *graph.TaskGraph {
 // orders apart.
 func TestCollapsedWeightsMatchesMapReferee(t *testing.T) {
 	gen.ForEachSeed(t, 60, func(t *testing.T, seed int64, r *rand.Rand) {
-		g := thirds(gen.TaskGraph(r, diffSize(r)))
+		g := gen.Thirds(gen.TaskGraph(r, diffSize(r)))
 		chain, phase := refChainWeights(g), refPhaseWeights(g)
 		c := g.CSR()
 		if c.NumPairs() != len(chain) {

@@ -2,12 +2,15 @@ package graph_test
 
 // FuzzCSRRoundTrip drives the generator with fuzzer-chosen shape
 // parameters, builds the flat CSR and the collapsed entries, and
-// referees every query against the map algorithms they replaced.
-// Registered in `make fuzz`.
+// referees every query against the map algorithms they replaced; then
+// it folds the edges onto a partition drawn from the seed and referees
+// SortTerms and FoldTerms the same way. Registered in `make fuzz`.
 
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"oregami/internal/gen"
@@ -35,7 +38,7 @@ func FuzzCSRRoundTrip(f *testing.F) {
 		if mix&1 == 1 {
 			// Integer weights sum exactly in any order; thirds do not,
 			// so only these inputs can see an addition-order bug.
-			g = thirds(g)
+			g = gen.Thirds(g)
 		}
 		tangle(g, r, int(mix>>1))
 		checkEntries(t, g.CollapsedEntries(), refPhaseWeights(g))
@@ -79,7 +82,61 @@ func FuzzCSRRoundTrip(f *testing.F) {
 		if directed != 2*len(ref) {
 			t.Fatalf("CSR holds %d directed slots, referee implies %d", directed, 2*len(ref))
 		}
+		checkFold(t, g, r)
 	})
+}
+
+// checkFold folds every edge onto the directed cluster pair of a random
+// partition, as a cluster graph build does, and referees the pair fold
+// against a map-and-sort build: SortTerms must give the stable (A, B)
+// order and FoldTerms the map's pairs, ascending, with bit-identical
+// sums.
+func checkFold(t *testing.T, g *graph.TaskGraph, r *rand.Rand) {
+	k := 1 + r.Intn(g.NumTasks)
+	part := make([]int32, g.NumTasks)
+	for v := range part {
+		part[v] = int32(r.Intn(k))
+	}
+	var ts []graph.Term
+	ref := make(map[[2]int32]float64)
+	for pi, p := range g.Comm {
+		for _, e := range p.Edges {
+			a, b := part[e.From], part[e.To]
+			ts = append(ts, graph.Term{A: a, B: b, Phase: int32(pi), W: e.Weight})
+			ref[[2]int32{a, b}] += e.Weight
+		}
+	}
+	stable := append([]graph.Term(nil), ts...)
+	sort.SliceStable(stable, func(i, j int) bool {
+		if stable[i].A != stable[j].A {
+			return stable[i].A < stable[j].A
+		}
+		return stable[i].B < stable[j].B
+	})
+	graph.SortTerms(ts, k)
+	if !reflect.DeepEqual(ts, stable) {
+		t.Fatalf("SortTerms(k=%d) is not the stable (A, B) order", k)
+	}
+	keys := make([][2]int32, 0, len(ref))
+	for key := range ref {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	pairs := graph.FoldTerms(ts)
+	if len(pairs) != len(keys) {
+		t.Fatalf("FoldTerms(k=%d) gives %d pairs, referee %d", k, len(pairs), len(keys))
+	}
+	for i, key := range keys {
+		if p := pairs[i]; p.A != key[0] || p.B != key[1] || !sameBits(p.W, ref[key]) {
+			t.Fatalf("FoldTerms(k=%d) pair %d = (%d,%d) %v, referee (%d,%d) %v",
+				k, i, p.A, p.B, p.W, key[0], key[1], ref[key])
+		}
+	}
 }
 
 // tangle adds k edges gen never makes: self-loops, which the collapse

@@ -272,15 +272,14 @@ type CollapsedEntry struct {
 }
 
 // CollapsedEntries returns the collapsed static graph as a slice sorted
-// by (A, B), built flat (no maps): directed edges become (pair, phase)
-// triples ordered by two counting sorts, then per-pair runs fold into
-// weights. The per-pair addition order is fixed — edge order within a
+// by (A, B), built flat (no maps): directed edges become Terms ordered
+// by SortTerms, then per-pair runs fold into weights. The per-pair addition order is fixed — edge order within a
 // phase into a subtotal, subtotals added in phase declaration order —
 // so the weights (and everything contracted from them) are
 // bit-identical to the historical per-phase map merge. Contraction
 // consumes this form; random-access callers use the CSR.
 func (g *TaskGraph) CollapsedEntries() []CollapsedEntry {
-	return foldTriples(g.collapseTriples())
+	return foldPhases(g.collapseTerms())
 }
 
 // Degree returns the number of distinct neighbors of task v in the

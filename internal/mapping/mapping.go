@@ -6,7 +6,6 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
 
 	"oregami/internal/graph"
 	"oregami/internal/topology"
@@ -183,34 +182,30 @@ func (m *Mapping) IdentityContraction() error {
 
 // ClusterGraph builds the contracted task graph: one node per cluster,
 // with each phase's intercluster edges aggregated (per ordered cluster
-// pair) and intracluster edges dropped. It is what the embedding and
-// routing stages operate on.
+// pair, summed by graph.FoldTerms in edge order, ascending by pair) and
+// intracluster edges dropped. It is what the embedding and routing
+// stages operate on.
 func (m *Mapping) ClusterGraph() *graph.TaskGraph {
 	k := m.NumClusters()
 	cg := graph.New(m.Graph.Name+"/contracted", k)
+	most := 0
+	for _, p := range m.Graph.Comm {
+		most = max(most, len(p.Edges))
+	}
+	ts := make([]graph.Term, 0, most)
 	for _, p := range m.Graph.Comm {
 		cp := cg.AddCommPhase(p.Name)
-		agg := make(map[[2]int]float64)
-		var order [][2]int
+		ts = ts[:0]
 		for _, e := range p.Edges {
-			a, b := m.Part[e.From], m.Part[e.To]
-			if a == b {
-				continue
+			if a, b := m.Part[e.From], m.Part[e.To]; a != b {
+				ts = append(ts, graph.Term{A: int32(a), B: int32(b), W: e.Weight})
 			}
-			key := [2]int{a, b}
-			if _, seen := agg[key]; !seen {
-				order = append(order, key)
-			}
-			agg[key] += e.Weight
 		}
-		sort.Slice(order, func(i, j int) bool {
-			if order[i][0] != order[j][0] {
-				return order[i][0] < order[j][0]
-			}
-			return order[i][1] < order[j][1]
-		})
-		for _, pair := range order {
-			cg.AddEdge(cp, pair[0], pair[1], agg[pair])
+		graph.SortTerms(ts, k)
+		pairs := graph.FoldTerms(ts)
+		cp.Edges = make([]graph.Edge, 0, len(pairs))
+		for _, t := range pairs {
+			cg.AddEdge(cp, int(t.A), int(t.B), t.W)
 		}
 	}
 	for _, p := range m.Graph.Exec {

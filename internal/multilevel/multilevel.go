@@ -24,6 +24,11 @@ import (
 // is exhausted long before that.
 const maxLevels = 48
 
+// refinePasses is the number of greedy refinement sweeps per
+// uncoarsening step. Each sweep visits every task once in index order,
+// so refinement stays O(passes * |E|) per level.
+const refinePasses = 2
+
 // Options parameterizes the multilevel engine.
 type Options struct {
 	// Processors is the cluster budget (the live processor count).
@@ -41,10 +46,6 @@ type Options struct {
 	// blossom matching inside MWM-Contract, large enough that it has
 	// pairs to choose from).
 	CoarsenTo int
-	// RefinePasses is the number of greedy refinement sweeps per
-	// uncoarsening step (0 = 2). Each sweep visits every task once in
-	// index order, so refinement stays O(passes * |E|) per level.
-	RefinePasses int
 	// Ctx carries cooperative cancellation (nil = background).
 	Ctx context.Context
 	// Parallelism is the worker budget threaded into the coarsest-level
@@ -63,13 +64,6 @@ func (o Options) coarsenTarget() int {
 		t = 64
 	}
 	return t
-}
-
-func (o Options) refinePasses() int {
-	if o.RefinePasses > 0 {
-		return o.RefinePasses
-	}
-	return 2
 }
 
 // bound returns the fine-task load target B, mirroring MWM-Contract's
@@ -231,37 +225,41 @@ func Map(g *graph.TaskGraph, net *topology.Network, opt Options) (*mapping.Mappi
 }
 
 // clusterGraph builds the cluster adjacency of the refined partition
-// flat from the fine CSR: a dense k*k accumulation matrix (k <= the
-// processor count, so a few MB at most) visited in row order keeps the
-// float sums deterministic without a map in the 1e6-edge scan.
+// flat from the fine CSR in O(E + k): each cut pair becomes a term on
+// its cluster pair, and graph.FoldTerms sums them in row order, so the
+// float sums are deterministic.
 func clusterGraph(g *graph.TaskGraph, part []int, k int) *graph.TaskGraph {
 	c := g.CSR()
-	acc := make([]float64, k*k)
+	cut := 0
 	for v := 0; v < c.N; v++ {
-		cv := part[v]
-		for i := c.Off[v]; i < c.Off[v+1]; i++ {
-			u := c.Adj[i]
-			if int(u) <= v {
+		for _, u := range c.Neighbors(v) {
+			if int(u) > v && part[u] != part[v] {
+				cut++
+			}
+		}
+	}
+	ts := make([]graph.Term, 0, cut)
+	for v := 0; v < c.N; v++ {
+		ws := c.RowWeights(v)
+		for i, u := range c.Neighbors(v) {
+			a, b := part[v], part[u]
+			if int(u) <= v || a == b {
 				continue
 			}
-			cu := part[u]
-			if cu == cv {
-				continue
-			}
-			a, b := cv, cu
 			if a > b {
 				a, b = b, a
 			}
-			acc[a*k+b] += c.W[i]
+			ts = append(ts, graph.Term{A: int32(a), B: int32(b), W: ws[i]})
 		}
 	}
+	graph.SortTerms(ts, k)
+	pairs := graph.FoldTerms(ts)
 	cg := graph.New("clusters", k)
 	p := cg.AddCommPhase("contracted")
-	for a := 0; a < k; a++ {
-		for b := a + 1; b < k; b++ {
-			if w := acc[a*k+b]; w > 0 {
-				cg.AddEdge(p, a, b, w)
-			}
+	p.Edges = make([]graph.Edge, 0, len(pairs))
+	for _, t := range pairs {
+		if t.W > 0 {
+			cg.AddEdge(p, int(t.A), int(t.B), t.W)
 		}
 	}
 	cg.AddExecPhase("e0", 1)

@@ -179,7 +179,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 // fine partition's IPC is at most the unrefined one's.
 func TestRefinementImprovesIPC(t *testing.T) {
 	g := gen.Grid2D(32, 32)
-	opt := Options{Processors: 8, CoarsenTo: 16, RefinePasses: 3}
+	opt := Options{Processors: 8, CoarsenTo: 16}
 	levels, err := coarsen(g, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,6 @@ func uncoarsen(levels []*level, cpart []int32, opt Options) ([]int, int, error) 
 		}
 	}
 	bound := int32(opt.bound(levels[0].n))
-	passes := opt.refinePasses()
 	r := newRefiner(k)
 	part := cpart
 	moves := 0
@@ -42,7 +41,7 @@ func uncoarsen(levels []*level, cpart []int32, opt Options) ([]int, int, error) 
 		if err := ctxErr(opt.Ctx); err != nil {
 			return nil, 0, err
 		}
-		moves += r.refineLevel(levels[li], part, bound, passes)
+		moves += r.refineLevel(levels[li], part, bound)
 	}
 	out := make([]int, len(part))
 	for i, c := range part {
@@ -75,11 +74,11 @@ func newRefiner(k int) *refiner {
 	}
 }
 
-// refineLevel runs `passes` greedy sweeps over lv in vertex index
+// refineLevel runs refinePasses greedy sweeps over lv in vertex index
 // order. Deterministic: the visit order, the row order of the
 // connectivity accumulation, and the smallest-id tie rule are all fixed
 // regardless of Parallelism.
-func (r *refiner) refineLevel(lv *level, part []int32, bound int32, passes int) int {
+func (r *refiner) refineLevel(lv *level, part []int32, bound int32) int {
 	for c := 0; c < r.k; c++ {
 		r.load[c] = 0
 		r.count[c] = 0
@@ -89,7 +88,7 @@ func (r *refiner) refineLevel(lv *level, part []int32, bound int32, passes int) 
 		r.count[part[v]]++
 	}
 	moves := 0
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := 0
 		for v := 0; v < lv.n; v++ {
 			own := part[v]
