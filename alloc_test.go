@@ -16,8 +16,12 @@ package oregami
 // non-race pass.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"oregami/internal/canned"
@@ -31,6 +35,7 @@ import (
 	"oregami/internal/metrics"
 	"oregami/internal/multilevel"
 	"oregami/internal/route"
+	"oregami/internal/serve"
 	"oregami/internal/topology"
 	"oregami/internal/workload"
 )
@@ -65,6 +70,29 @@ func gate(t *testing.T, name string, ceiling float64, fn func()) {
 	if got > ceiling {
 		t.Errorf("%s allocates %.0f times per op, budget is %.0f — a map or per-call buffer came back; see internal/graph/scratch.go",
 			name, got, ceiling)
+	}
+}
+
+// bytesGate is gate's companion for allocated bytes: it averages the
+// runtime.MemStats.TotalAlloc delta over runs of fn after one warm-up
+// call, at GOMAXPROCS 1 as testing.AllocsPerRun does, and fails if the
+// mean exceeds ceiling.
+func bytesGate(t *testing.T, name string, ceiling float64, fn func()) {
+	t.Helper()
+	skipAllocGate(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%s: %.0f bytes/op (ceiling %.0f)", name, got, ceiling)
+	if got > ceiling {
+		t.Errorf("%s allocates %.0f bytes per op, budget is %.0f", name, got, ceiling)
 	}
 }
 
@@ -376,4 +404,32 @@ func TestAllocBudgetGroupContract(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestAllocBudgetServeHit gates a warm mapd cache hit end to end in
+// process: POST /v1/map through Server.Handler() — decode, resolve,
+// cache lookup with its fingerprint check, encode — with jacobi n=8 on
+// hypercube(4). The front-end memos make a hit skip the LaRCS parse and
+// format and the network build: it measured 719 allocs/op and 65.3 kB
+// before them. Ceilings are 10% over the measured 66 allocs/op and
+// 15,216 bytes/op.
+func TestAllocBudgetServeHit(t *testing.T) {
+	skipAllocGate(t)
+	h := serve.New(serve.Config{}).Handler()
+	body := []byte(`{"workload":"jacobi","bindings":{"n":8},"net":"hypercube:4"}`)
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/map", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	post() // the miss that fills the cache
+	if rec := post(); !bytes.Contains(rec.Body.Bytes(), []byte(`"cache": "hit"`)) {
+		t.Fatalf("second request is not a hit: %s", rec.Body)
+	}
+	hit := func() { post() }
+	gate(t, "serve /v1/map hit", 73, hit)
+	bytesGate(t, "serve /v1/map hit", 16738, hit)
 }

@@ -1,6 +1,7 @@
 package larcs
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -16,7 +17,16 @@ import (
 type Limits struct {
 	MaxTasks int // default 1 << 20
 	MaxEdges int // default 1 << 22
+	// Ctx, when set, is checked every ctxCheckSteps quantifier steps; a
+	// done context stops the compile with an error wrapping Ctx.Err(),
+	// so a request deadline bounds a spinning program long before the
+	// iteration limit does.
+	Ctx context.Context
 }
+
+// ctxCheckSteps is the number of quantifier steps between checks of
+// Limits.Ctx: a power of two, and well under a millisecond of stepping.
+const ctxCheckSteps = 1 << 14
 
 // iterations is the number of quantifier steps a compile may take,
 // counted at every depth of every comm rule and phase-expression
@@ -102,7 +112,7 @@ type Compiled struct {
 // compiles of one program are safe.
 func (prog *Program) Compile(bindings map[string]int, lim Limits) (*Compiled, error) {
 	lim = lim.withDefaults()
-	c := &compiler{scope: scope{deepest: -1}, maxEdges: lim.MaxEdges, maxSteps: lim.iterations()}
+	c := &compiler{scope: scope{deepest: -1}, maxEdges: lim.MaxEdges, maxSteps: lim.iterations(), ctx: lim.Ctx}
 	for _, p := range prog.Params {
 		v, ok := bindings[p]
 		if !ok {
@@ -278,14 +288,21 @@ type compiler struct {
 	maxEdges int
 	edges    int // edges emitted so far, across all phases
 	maxSteps int
-	steps    int // quantifier steps taken so far, at every depth
+	steps    int             // quantifier steps taken so far, at every depth
+	ctx      context.Context // Limits.Ctx; nil never stops the compile
 }
 
-// step counts one quantifier step against the iteration limit.
+// step counts one quantifier step against the iteration limit and,
+// every ctxCheckSteps steps, checks the compile's context.
 func (c *compiler) step() error {
 	c.steps++
 	if c.steps > c.maxSteps {
 		return fmt.Errorf("larcs: program exceeds iteration limit %d", c.maxSteps)
+	}
+	if c.ctx != nil && c.steps&(ctxCheckSteps-1) == 0 {
+		if err := c.ctx.Err(); err != nil {
+			return fmt.Errorf("larcs: compile stopped after %d steps: %w", c.steps, err)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package larcs
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -666,5 +668,60 @@ phases forall k in lo..hi : c;
 	}
 	if seq, ok := c.Phases.(phase.Seq); !ok || len(seq.Parts) != 3 {
 		t.Errorf("phase forall over MaxInt-2..MaxInt grounded to %v, want 3 parts", c.Phases)
+	}
+}
+
+// TestCompileHonoursContext stops the spin program of
+// TestCompileIterationLimit through Limits.Ctx: a done context ends the
+// compile at the first check, ctxCheckSteps steps in, with an error
+// wrapping the context's.
+func TestCompileHonoursContext(t *testing.T) {
+	prog, err := Parse(`
+algorithm spin(lo, hi);
+nodetype t 0..1;
+comphase c {
+    forall i in lo..hi if i < 0 : t(0) -> t(1);
+}
+phases c;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindings := map[string]int{"lo": 0, "hi": 1 << 40}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = prog.Compile(bindings, Limits{Ctx: ctx})
+	if want := fmt.Sprintf("larcs: compile stopped after %d steps: context canceled", ctxCheckSteps); err == nil || err.Error() != want || !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled compile: err = %v, want %q wrapping context.Canceled", err, want)
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = prog.Compile(bindings, Limits{Ctx: ctx})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("compile past its deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("compile stopped %v after start, want soon after its 20ms deadline", d)
+	}
+
+	// A live context changes nothing: the ring compiles as without one.
+	ring, err := Parse(nbodySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := map[string]int{"n": 15, "s": 2}
+	with, err := ring.Compile(b, Limits{Ctx: context.Background()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := ring.Compile(b, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if with.Graph.NumEdges() != without.Graph.NumEdges() || with.Graph.NumTasks != without.Graph.NumTasks {
+		t.Errorf("compile with a live context: %d tasks %d edges, without: %d tasks %d edges",
+			with.Graph.NumTasks, with.Graph.NumEdges(), without.Graph.NumTasks, without.Graph.NumEdges())
 	}
 }

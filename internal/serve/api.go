@@ -234,9 +234,9 @@ var requestFields = map[string]string{
 
 // resolve validates and canonicalizes one request. It validates the
 // options, parses the program (but does not expand it), builds the
-// target network, merges workload default bindings, clamps deadlines
-// and the worker budget to the server's configuration, and derives the
-// content-addressed cache key.
+// target network — both through the front-end memos — merges workload
+// default bindings, clamps deadlines and the worker budget to the
+// server's configuration, and derives the content-addressed cache key.
 func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 	if req == nil {
 		return nil, badRequest("empty request")
@@ -281,15 +281,31 @@ func (s *Server) resolve(req *MapRequest) (*resolved, *httpError) {
 		r.name = w.Name
 	}
 	r.bindings = w.Bindings(req.Bindings)
-	prog, err := larcs.Parse(w.Source)
-	if err != nil {
-		return nil, unprocessable("parse: %v", err)
+	// The program and the network come from the front-end memos
+	// (memo.go) when this exact source or spec resolved before. A miss
+	// is memoized only once the whole front end has succeeded, so a
+	// failed resolve leaves both memos as they were.
+	p, progHit := s.programs.get(w.Source)
+	s.reg.CountFrontendMemo(progHit)
+	if !progHit {
+		prog, err := larcs.Parse(w.Source)
+		if err != nil {
+			return nil, unprocessable("parse: %v", err)
+		}
+		p = parsedProgram{prog: prog, canonical: larcs.Format(prog)}
 	}
-	r.prog = prog
-	r.canonical = larcs.Format(prog)
-	net, err := topology.ParseSpec(req.Net)
-	if err != nil {
-		return nil, badRequest("%v", err)
+	r.prog, r.canonical = p.prog, p.canonical
+	net, netHit := s.networks.get(req.Net)
+	s.reg.CountFrontendMemo(netHit)
+	if !netHit {
+		var err error
+		if net, err = topology.ParseSpec(req.Net); err != nil {
+			return nil, badRequest("%v", err)
+		}
+		s.networks.put(req.Net, net, networkCharge(net))
+	}
+	if !progHit {
+		s.programs.put(w.Source, p, programCharge(w.Source, p))
 	}
 	r.req.Net = net
 	// The effective budget is the server's per-request share of the
@@ -326,8 +342,12 @@ func (s *Server) compute(ctx context.Context, r *resolved) (*cacheEntry, error) 
 	comp, err := r.prog.Compile(r.bindings, larcs.Limits{
 		MaxTasks: s.cfg.MaxTasks,
 		MaxEdges: s.cfg.MaxEdges,
+		Ctx:      ctx,
 	})
 	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			return nil, pipelineHTTPError(err)
+		}
 		return nil, unprocessable("compile: %v", err)
 	}
 	s.reg.ObserveStage("compile", time.Since(compileStart))

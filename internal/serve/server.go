@@ -33,6 +33,7 @@ import (
 	"oregami/internal/cluster"
 	"oregami/internal/serve/stats"
 	"oregami/internal/store"
+	"oregami/internal/topology"
 	"oregami/internal/workload"
 )
 
@@ -135,6 +136,8 @@ type Server struct {
 	reg      *stats.Registry
 	cache    *resultCache
 	pool     *workerPool
+	programs *memo[parsedProgram] // the front-end memos (memo.go)
+	networks *memo[*topology.Network]
 	flights  flightGroup
 	mux      *http.ServeMux
 	draining atomic.Bool
@@ -172,11 +175,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := stats.New()
 	s := &Server{
-		cfg:   cfg,
-		reg:   reg,
-		cache: newResultCache(cfg.CacheBytes, reg),
-		pool:  newWorkerPool(cfg.Workers, cfg.Queue, reg),
-		mux:   http.NewServeMux(),
+		cfg:      cfg,
+		reg:      reg,
+		cache:    newResultCache(cfg.CacheBytes, reg),
+		pool:     newWorkerPool(cfg.Workers, cfg.Queue, reg),
+		programs: newMemo[parsedProgram](programMemoItems, programMemoBytes),
+		networks: newMemo[*topology.Network](networkMemoItems, networkMemoBytes),
+		mux:      http.NewServeMux(),
 	}
 	s.mux.HandleFunc("POST /v1/map", s.handleMap)
 	s.mux.HandleFunc("POST /v1/map/batch", s.handleBatch)

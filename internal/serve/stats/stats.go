@@ -143,6 +143,11 @@ type Registry struct {
 	Deduped        atomic.Int64 // singleflight followers
 	WarmHits       atomic.Int64 // hits served from warm-restored (disk-loaded) entries
 
+	// Front-end memo counters: one count per program or network lookup,
+	// so a resolve that gets past parsing counts two.
+	FrontendMemoHits   atomic.Int64 // parse/format or network build skipped
+	FrontendMemoMisses atomic.Int64 // parsed or built afresh
+
 	// Persistence counters (internal/store write-behind + recovery).
 	PersistWrites    atomic.Int64 // entries durably appended to the store
 	PersistErrors    atomic.Int64 // store appends that failed
@@ -192,6 +197,15 @@ func (r *Registry) ObserveStage(name string, d time.Duration) {
 	r.Stage(name).Observe(d)
 }
 
+// CountFrontendMemo counts one front-end memo lookup.
+func (r *Registry) CountFrontendMemo(hit bool) {
+	if hit {
+		r.FrontendMemoHits.Add(1)
+	} else {
+		r.FrontendMemoMisses.Add(1)
+	}
+}
+
 // HitRatio returns hits / (hits + misses), or 0 before any lookup.
 func (r *Registry) HitRatio() float64 {
 	h, m := r.CacheHits.Load(), r.CacheMisses.Load()
@@ -213,6 +227,9 @@ type Snapshot struct {
 	CacheCorrupt   int64 `json:"cache_corrupt"`
 	Deduped        int64 `json:"deduped"`
 	WarmHits       int64 `json:"warm_hits"`
+
+	FrontendMemoHits   int64 `json:"frontend_memo_hits"`
+	FrontendMemoMisses int64 `json:"frontend_memo_misses"`
 
 	PersistWrites    int64 `json:"persist_writes"`
 	PersistErrors    int64 `json:"persist_errors"`
@@ -253,6 +270,9 @@ func (r *Registry) Snapshot() Snapshot {
 		CacheCorrupt:   r.CacheCorrupt.Load(),
 		Deduped:        r.Deduped.Load(),
 		WarmHits:       r.WarmHits.Load(),
+
+		FrontendMemoHits:   r.FrontendMemoHits.Load(),
+		FrontendMemoMisses: r.FrontendMemoMisses.Load(),
 
 		PersistWrites:    r.PersistWrites.Load(),
 		PersistErrors:    r.PersistErrors.Load(),
@@ -302,6 +322,7 @@ func (s Snapshot) Render() string {
 	fmt.Fprintf(&b, "cache: hits %d  misses %d  bypass %d  evictions %d  corrupt %d  deduped %d\n",
 		s.CacheHits, s.CacheMisses, s.CacheBypass, s.CacheEvictions, s.CacheCorrupt, s.Deduped)
 	fmt.Fprintf(&b, "cache: %d items, %d bytes, hit ratio %.3f, warm hits %d\n", s.CacheItems, s.CacheBytes, s.HitRatio, s.WarmHits)
+	fmt.Fprintf(&b, "frontend memo: hits %d  misses %d\n", s.FrontendMemoHits, s.FrontendMemoMisses)
 	fmt.Fprintf(&b, "store: writes %d  errors %d  dropped %d  recovered %d  quarantined %d  recovery %dms  ready %d\n",
 		s.PersistWrites, s.PersistErrors, s.PersistDropped, s.StoreRecovered, s.StoreQuarantined, s.RecoveryMS, s.Ready)
 	fmt.Fprintf(&b, "cluster: peers-up %d  proxied-in %d  proxied-out %d  fallbacks %d  proxy-errors %d  streamed %d\n",

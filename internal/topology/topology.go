@@ -179,6 +179,18 @@ func (nw *Network) Distance(a, b int) int {
 	return int(nw.distances()[a][b])
 }
 
+// ClosedFormDistance reports whether Distance answers every pair from a
+// closed form, so the network never builds its all-pairs BFS table
+// (N²·2 bytes). The tree, butterfly and cube-connected-cycles families
+// and every degraded view build it on their first Distance call.
+func (nw *Network) ClosedFormDistance() bool {
+	if nw.degraded {
+		return false
+	}
+	_, ok := nw.analyticDistance(0, 0)
+	return ok
+}
+
 func (nw *Network) analyticDistance(a, b int) (int, bool) {
 	switch nw.Kind {
 	case "mesh":

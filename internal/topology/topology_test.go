@@ -387,6 +387,29 @@ func TestConnectedAllFamilies(t *testing.T) {
 	}
 }
 
+// TestClosedFormDistance: a network reports a closed-form distance
+// exactly when Distance over every pair leaves its BFS table unbuilt.
+func TestClosedFormDistance(t *testing.T) {
+	degraded, err := Mesh(3, 3).Masked([]int{4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nw := range []*Network{
+		Ring(5), Linear(6), Mesh(3, 3), Torus(3, 4), Hypercube(4), Complete(6), Star(5),
+		Hierarchy(2, 2, 4), CompleteBinaryTree(3), BinomialTree(4), Butterfly(3),
+		CubeConnectedCycles(3), degraded,
+	} {
+		for a := 0; a < nw.N; a++ {
+			for b := 0; b < nw.N; b++ {
+				nw.Distance(a, b)
+			}
+		}
+		if built := nw.dist.Load() != nil; nw.ClosedFormDistance() == built {
+			t.Errorf("%s: ClosedFormDistance %v, but Distance built the BFS table: %v", nw.Name, nw.ClosedFormDistance(), built)
+		}
+	}
+}
+
 func TestLinkBetween(t *testing.T) {
 	nw := Mesh(2, 2)
 	id, ok := nw.LinkBetween(0, 1)
