@@ -9,7 +9,10 @@ package oregami
 // enough to absorb allocator noise, tight enough that a reintroduced
 // O(edges) or O(rounds) allocation pattern fails. The whole-pipeline
 // ceilings are tighter (10% over a recorded count), because the
-// pipeline's count is large and stable.
+// pipeline's count is large and stable. The route, contract and
+// pipeline gates also hold bytes/op to 10% over a recorded value
+// (bytesGate): no stage pools its buffers, so the bytes are what a
+// request pays.
 //
 // The gates are skipped under the race detector (instrumentation
 // allocates) and in -short mode; `make check` runs them in a dedicated
@@ -19,6 +22,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -68,20 +72,20 @@ func gate(t *testing.T, name string, ceiling float64, fn func()) {
 	got := testing.AllocsPerRun(10, fn)
 	t.Logf("%s: %.0f allocs/op (ceiling %.0f)", name, got, ceiling)
 	if got > ceiling {
-		t.Errorf("%s allocates %.0f times per op, budget is %.0f — a map or per-call buffer came back; see internal/graph/scratch.go",
+		t.Errorf("%s allocates %.0f times per op, budget is %.0f — a map or a per-round buffer came back; see DESIGN.md §6",
 			name, got, ceiling)
 	}
 }
 
 // bytesGate is gate's companion for allocated bytes: it averages the
-// runtime.MemStats.TotalAlloc delta over runs of fn after one warm-up
-// call, at GOMAXPROCS 1 as testing.AllocsPerRun does, and fails if the
-// mean exceeds ceiling.
+// runtime.MemStats.TotalAlloc delta over 10 runs of fn after one
+// warm-up call, the run count and GOMAXPROCS 1 of testing.AllocsPerRun,
+// and fails if the mean exceeds ceiling.
 func bytesGate(t *testing.T, name string, ceiling float64, fn func()) {
 	t.Helper()
 	skipAllocGate(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 50
+	const runs = 10
 	fn()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -152,16 +156,23 @@ func TestAllocBudgetClusterGraph(t *testing.T) {
 	})
 }
 
+// TestAllocBudgetContract gates MWM-Contract on allocWorkload. Its
+// bytes ceiling is 10% over the measured 3,362,843 bytes/op.
 func TestAllocBudgetContract(t *testing.T) {
 	c, net := allocWorkload(t)
 	opt := contract.Options{Processors: net.N, Parallelism: 1}
-	gate(t, "MWMContract", 900, func() {
+	fn := func() {
 		if _, err := contract.MWMContract(c.Graph, opt); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	gate(t, "MWMContract", 900, fn)
+	bytesGate(t, "MWMContract", 3699127, fn)
 }
 
+// TestAllocBudgetRoute gates MM-Route on 96 random pairs on
+// hypercube(4). Its bytes ceiling is 10% over the measured 21,680
+// bytes/op: the call's two slabs, the routes and their backing.
 func TestAllocBudgetRoute(t *testing.T) {
 	_, net := allocWorkload(t)
 	r := gen.Rand(11)
@@ -169,11 +180,13 @@ func TestAllocBudgetRoute(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = [2]int{r.Intn(net.N), r.Intn(net.N)}
 	}
-	gate(t, "MMRoute", 48, func() {
+	fn := func() {
 		if _, _, err := route.MMRoute(net, pairs, route.Options{}); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	gate(t, "MMRoute", 48, fn)
+	bytesGate(t, "MMRoute", 23848, fn)
 }
 
 // TestAllocBudgetDistance holds Distance to zero allocations: it sits
@@ -206,23 +219,64 @@ func TestAllocBudgetDistance(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetRouteHier gates MM-Route on the 512-PE hierarchy the
-// multilevel benchmark maps onto; the hypercube(4) gate above cannot
-// see an allocation in the hierarchy distance. A warm run makes 2
-// allocations (the route slice and the backing all routes share); a
-// per-Distance allocation would make millions.
-func TestAllocBudgetRouteHier(t *testing.T) {
+// hierRouteInput is the MM-Route input of the hierarchy gates: 1024
+// random pairs on the 512-PE hierarchy the multilevel benchmark maps
+// onto.
+func hierRouteInput() (*topology.Network, [][2]int) {
 	net := topology.Hierarchy(4, 4, 4, 8)
 	r := gen.Rand(13)
 	pairs := make([][2]int, 1024)
 	for i := range pairs {
 		pairs[i] = [2]int{r.Intn(net.N), r.Intn(net.N)}
 	}
-	gate(t, "MMRoute hier(4x4x4x8)", 4, func() {
+	return net, pairs
+}
+
+// TestAllocBudgetRouteHier gates MM-Route on the 512-PE hierarchy; the
+// hypercube(4) gate above cannot see an allocation in the hierarchy
+// distance. A run makes 4 allocations (the route slice, the backing
+// all routes share, and the call's int and bool slabs); a
+// per-Distance allocation would make millions. The bytes ceiling is 10%
+// over the measured 299,141 bytes/op.
+func TestAllocBudgetRouteHier(t *testing.T) {
+	net, pairs := hierRouteInput()
+	fn := func() {
 		if _, _, err := route.MMRoute(net, pairs, route.Options{}); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	gate(t, "MMRoute hier(4x4x4x8)", 4, fn)
+	bytesGate(t, "MMRoute hier(4x4x4x8)", 329055, fn)
+}
+
+// TestAllocBudgetRouteCold holds TestAllocBudgetRouteHier's ceiling on
+// a cold heap: each call runs after two runtime.GC()s, which empty any
+// sync.Pool, and counts its runtime.MemStats.Mallocs delta. A call
+// whose working buffers came from a pool pays for refilling it here (a
+// pooled arena read 41). The minimum of 5 calls is gated, because a
+// single reading can pick up one runtime allocation.
+func TestAllocBudgetRouteCold(t *testing.T) {
+	skipAllocGate(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net, pairs := hierRouteInput()
+	const ceiling = 4
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := route.MMRoute(net, pairs, route.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("cold MMRoute hier(4x4x4x8): %d allocs (min of 5, ceiling %d)", best, ceiling)
+	if best > ceiling {
+		t.Errorf("cold MMRoute hier(4x4x4x8) allocates %d times, budget is %d — a working buffer is pooled or allocated per round",
+			best, ceiling)
+	}
 }
 
 func TestAllocBudgetMetrics(t *testing.T) {
@@ -282,24 +336,29 @@ func TestAllocBudgetMultilevelContract(t *testing.T) {
 // TestAllocBudgetPipeline gates the full core.Map pipeline at each
 // Parallelism budget. Each ceiling is 10% over the allocs/op that
 // BenchmarkParallelPipeline last recorded for that worker count (4183,
-// 4243 and 4224 for 1, 2 and 4 workers).
+// 4243 and 4224 for 1, 2 and 4 workers). Each bytes ceiling is 10% over
+// the bytes/op measured at that worker count (9,470,230, 9,757,766 and
+// 9,757,985).
 func TestAllocBudgetPipeline(t *testing.T) {
 	c, net := allocWorkload(t)
 	for _, tc := range []struct {
 		workers int
 		ceiling float64
+		bytes   float64
 	}{
-		{1, 4601},
-		{2, 4667},
-		{4, 4646},
+		{1, 4601, 10417253},
+		{2, 4667, 10733543},
+		{4, 4646, 10733784},
 	} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
 			req := core.Request{Compiled: c, Net: net, Parallelism: tc.workers}
-			gate(t, "core.Map pipeline", tc.ceiling, func() {
+			fn := func() {
 				if _, err := core.Map(req); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
+			gate(t, "core.Map pipeline", tc.ceiling, fn)
+			bytesGate(t, "core.Map pipeline", tc.bytes, fn)
 		})
 	}
 }

@@ -14,11 +14,11 @@ import (
 // shared pair fold (graph.SortTerms + graph.FoldTerms), kept verbatim
 // with both of its paths as the referee: a dense half-matrix for
 // k <= 512, a comparison sort above.
-func refInterclusterEdges(entries []graph.CollapsedEntry, u *unionFind, index, size []int, k, b int, scr *graph.Scratch) []matching.WEdge {
+func refInterclusterEdges(entries []graph.CollapsedEntry, u *unionFind, index, size []int, k, b int) []matching.WEdge {
 	if k <= 512 {
 		// Dense k x k half-matrix; after greedyMerge k is at most 2P.
-		agg := scr.Float64s(k * k)
-		hit := scr.Bools(k * k)
+		agg := make([]float64, k*k)
+		hit := make([]bool, k*k)
 		for _, e := range entries {
 			a, bb := index[u.find(e.A)], index[u.find(e.B)]
 			if a == bb {
@@ -115,9 +115,7 @@ func TestInterclusterEdgesMatchesReferee(t *testing.T) {
 			}
 			for _, b := range []int{tight, g.NumTasks} {
 				got := interclusterEdges(entries, u, index, size, len(ids), b)
-				scr := graph.GetScratch()
-				want := refInterclusterEdges(entries, u, index, size, len(ids), b, scr)
-				scr.Release()
+				want := refInterclusterEdges(entries, u, index, size, len(ids), b)
 				if len(got) != len(want) {
 					t.Fatalf("k=%d %s B=%d: %d edges, referee %d", k, tc.name, b, len(got), len(want))
 				}

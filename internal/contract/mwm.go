@@ -126,9 +126,7 @@ func MWMContract(g *graph.TaskGraph, opt Options) ([]int, error) {
 	// Matching stage. Cluster ids and sizes.
 	ids, size := u.clusters()
 	k := len(ids)
-	scr := graph.GetScratch()
-	defer scr.Release()
-	index := scr.Ints(v)
+	index := make([]int, v)
 	for i, id := range ids {
 		index[id] = i
 	}
@@ -229,18 +227,16 @@ func greedyMerge(ctx context.Context, workers int, entries []graph.CollapsedEntr
 // target*maxSize >= V), so the repair always terminates.
 func repairPartition(ctx context.Context, entries []graph.CollapsedEntry, part []int, target, maxSize int) ([]int, error) {
 	n := len(part)
-	scr := graph.GetScratch()
-	defer scr.Release()
 	// Cluster ids stay within the dense range partition() produced, so
 	// sizes is a flat array instead of the map it used to be; scanning
 	// ids ascending reproduces the map version's (size, id) and
 	// (adjacency, id) tie-breaks exactly.
-	sizes := scr.Ints(n)
+	sizes := make([]int, n)
 	// Incidence index over entries: task t's entries are
 	// incIdx[incOff[t]:incOff[t+1]], ascending, so per-task adjacency
 	// weights accumulate in entries order — the same float addition
 	// sequence as the full entry scan this replaces.
-	incOff := scr.Ints(n + 1)
+	incOff := make([]int, n+1)
 	for _, e := range entries {
 		incOff[e.A+1]++
 		incOff[e.B+1]++
@@ -248,8 +244,8 @@ func repairPartition(ctx context.Context, entries []graph.CollapsedEntry, part [
 	for t := 0; t < n; t++ {
 		incOff[t+1] += incOff[t]
 	}
-	incIdx := scr.Ints(2 * len(entries))
-	next := scr.Ints(n)
+	incIdx := make([]int, 2*len(entries))
+	next := make([]int, n)
 	copy(next, incOff[:n])
 	for i, e := range entries {
 		incIdx[next[e.A]] = i
@@ -257,7 +253,7 @@ func repairPartition(ctx context.Context, entries []graph.CollapsedEntry, part [
 		incIdx[next[e.B]] = i
 		next[e.B]++
 	}
-	aw := scr.Float64s(n)
+	aw := make([]float64, n)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err

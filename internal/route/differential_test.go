@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"oregami/internal/gen"
-	"oregami/internal/graph"
 	"oregami/internal/matching"
 	"oregami/internal/route"
 	"oregami/internal/topology"
@@ -213,8 +212,6 @@ func dupPairs(r *rand.Rand, net *topology.Network) [][2]int {
 // matching round, and matchY cleared in full per greedy round.
 func refMMRoute(net *topology.Network, pairs [][2]int, opt route.Options) ([]topology.Route, route.Stats, error) {
 	routes := make([]topology.Route, len(pairs))
-	scr := graph.GetScratch()
-	defer scr.Release()
 
 	pos := make([]int, len(pairs))
 	var active []int
@@ -228,7 +225,7 @@ func refMMRoute(net *topology.Network, pairs [][2]int, opt route.Options) ([]top
 		}
 	}
 	var stats route.Stats
-	linkUse := scr.Ints(net.NumLinks())
+	linkUse := make([]int, net.NumLinks())
 	maxDeg := 0
 	for v := 0; v < net.Processors(); v++ {
 		if d := net.Degree(v); d > maxDeg {
@@ -362,7 +359,7 @@ func refMMRoute(net *topology.Network, pairs [][2]int, opt route.Options) ([]top
 		active = active[:k]
 	}
 	if !opt.NoRefine {
-		route.RefineRoutes(net, pairs, routes, linkUse, scr)
+		route.RefineRoutes(net, pairs, routes, linkUse)
 	}
 	for _, u := range linkUse {
 		if u > stats.MaxContention {

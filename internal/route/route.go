@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"oregami/internal/graph"
 	"oregami/internal/mapping"
 	"oregami/internal/matching"
 	"oregami/internal/par"
@@ -76,73 +75,83 @@ type Stats struct {
 func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Route, Stats, error) {
 	ctx := opt.ctx()
 	routes := make([]topology.Route, len(pairs))
-	scr := graph.GetScratch()
-	defer scr.Release()
-
-	pos := scr.Ints(len(pairs))
-	active := scr.IntsCap(len(pairs))
-	for i, p := range pairs {
-		pos[i] = p[0]
-		if p[0] != p[1] {
-			if net.Distance(p[0], p[1]) < 0 {
-				return nil, Stats{}, fmt.Errorf("route: no live path from processor %d to %d", p[0], p[1])
-			}
-			active = append(active, i)
-		}
-	}
-	var stats Stats
-	linkUse := scr.Ints(net.NumLinks())
-
 	// Every route follows shortest paths hop for hop (candidates only
 	// ever step one hop closer), so pair i needs exactly Distance hops:
 	// carve all route storage from one allocation instead of letting each
 	// route's appends grow independently.
-	total := 0
-	for _, i := range active {
-		total += net.Distance(pairs[i][0], pairs[i][1])
+	total, maxLen := 0, 0
+	for _, p := range pairs {
+		if p[0] == p[1] {
+			continue
+		}
+		d := net.Distance(p[0], p[1])
+		if d < 0 {
+			return nil, Stats{}, fmt.Errorf("route: no live path from processor %d to %d", p[0], p[1])
+		}
+		total += d
+		maxLen = max(maxLen, d)
 	}
-	backing := make([]int, total)
-	off := 0
-	for _, i := range active {
-		d := net.Distance(pairs[i][0], pairs[i][1])
-		routes[i] = topology.Route(backing[off : off : off+d])
-		off += d
-	}
-
 	maxDeg := 0
 	for v := 0; v < net.Processors(); v++ {
 		if d := net.Degree(v); d > maxDeg {
 			maxDeg = d
 		}
 	}
-	// Buffers borrowed once and re-sliced every hop round or matching
-	// round. An edge's position only changes when it is matched, and a
-	// matched edge leaves the round, so the links one hop closer to its
-	// destination are fixed for the whole hop round: they are computed
-	// once per hop round into hopBuf (edge ei owns
-	// hopBuf[hopOff[ei]:hopEnd[ei]]), and each matching round only
-	// filters them by the budget. hopBuf starts at two links per pair
-	// and is re-borrowed larger before a segment could overflow it, so
-	// append never grows it and its size follows the shortest-path
-	// fan-out the phase meets, not len(pairs) x maxDeg: on a hierarchy
-	// shortest paths are mostly unique while a representative PE has a
-	// link to every sibling at every level (16 on hier:4,4,4,8).
-	// Candidates are a subset of the next-hop links, so candBuf,
-	// re-borrowed whenever a hop round's hopBuf outgrows it, never
-	// overflows within the round.
-	nl := net.NumLinks()
-	remaining := scr.IntsCap(len(pairs))
-	hopBuf := scr.IntsCap(2 * len(pairs))
-	hopOff := scr.Ints(len(pairs))
-	hopEnd := scr.Ints(len(pairs))
-	var candBuf []int
-	candOff := scr.Ints(len(pairs) + 1)
-	order := scr.Ints(len(pairs))
-	counts := scr.Ints(maxDeg + 2)
-	matchX := scr.Ints(len(pairs))
+
+	// Working buffers are carved from one []int and one []bool slab
+	// allocated for this call and re-sliced every hop round or matching
+	// round; no result aliases them. An edge's position only changes
+	// when it is matched, and a matched edge leaves the round, so the
+	// links one hop closer to its destination are fixed for the whole
+	// hop round: they are computed once per hop round into hopBuf (edge
+	// ei owns hopBuf[hopOff[ei]:hopEnd[ei]]), and each matching round
+	// only filters them by the budget. hopBuf starts at two links per
+	// pair and grows by append past that, so its size follows the
+	// shortest-path fan-out the phase meets, not len(pairs) x maxDeg: on
+	// a hierarchy shortest paths are mostly unique while a
+	// representative PE has a link to every sibling at every level (16
+	// on hier:4,4,4,8). Candidates are a subset of the next-hop links,
+	// so candBuf, which starts at the same capacity, outgrows it only
+	// after hopBuf has.
+	// The int slab holds 13 ints per pair plus one (nine per-pair
+	// buffers, candOff's extra entry, hopBuf and candBuf at two each), 5
+	// per link, the waiting and open lists, counts, and refineRoutes' 4
+	// per processor plus the longest route; the bool slab holds unique
+	// and the memo's set.
+	np, nl, n := len(pairs), net.NumLinks(), net.Processors()
+	nw := min(nl, np)
+	ints := make([]int, 13*np+1+5*nl+2*nw+maxDeg+2+4*n+maxLen)
+	bools := make([]bool, np+n)
+	pos := carve(&ints, np)
+	active := carve(&ints, np)[:0]
+	backing := make([]int, total)
+	off := 0
+	for i, p := range pairs {
+		pos[i] = p[0]
+		if p[0] != p[1] {
+			d := net.Distance(p[0], p[1])
+			routes[i] = topology.Route(backing[off : off : off+d])
+			off += d
+			active = append(active, i)
+		}
+	}
+	var stats Stats
+	linkUse := carve(&ints, nl)
+	remaining := carve(&ints, np)[:0]
+	hopBuf := carve(&ints, 2*np)[:0]
+	hopOff := carve(&ints, np)
+	hopEnd := carve(&ints, np)
+	candBuf := carve(&ints, 2*np)[:0]
+	candOff := carve(&ints, np+1)
+	order := carve(&ints, np)
+	counts := carve(&ints, maxDeg+2)
+	matchX := carve(&ints, np)
 	// matchY stays all -1 between rounds: each greedy round undoes only
 	// the links it matched or reserved.
-	matchY := scr.IntsFill(nl, -1)
+	matchY := carve(&ints, nl)
+	for i := range matchY {
+		matchY[i] = -1
+	}
 	// An edge with exactly one next-hop link is forced: it can only ever
 	// bid for that link, with candidate count 1, so it waits in the
 	// link's FIFO queue (ascending edge index) instead of being filtered,
@@ -153,13 +162,13 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 	// every hop of pair i was forced, so its route is the only shortest
 	// path and refinement cannot change it. Under UseMaximum every edge
 	// stays a choice edge: Hopcroft-Karp needs the whole bipartite graph.
-	qLen := scr.Ints(nl)
-	qHead := scr.Ints(nl)
-	qEnd := scr.Ints(nl)
-	qBuf := scr.Ints(len(pairs))
-	waiting := scr.IntsCap(min(nl, len(pairs)))
-	open := scr.IntsCap(min(nl, len(pairs)))
-	unique := scr.Bools(len(pairs))
+	qLen := carve(&ints, nl)
+	qHead := carve(&ints, nl)
+	qEnd := carve(&ints, nl)
+	qBuf := carve(&ints, np)
+	waiting := carve(&ints, nw)[:0]
+	open := carve(&ints, nw)[:0]
+	unique := carve(&bools, np)
 	for _, i := range active {
 		unique[i] = true
 	}
@@ -189,9 +198,6 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			if base := net.Distance(pos[ei], dst); base >= 0 {
 				nbrs := net.Neighbors(pos[ei])
 				lids := net.NeighborLinks(pos[ei])
-				if len(hopBuf)+len(nbrs) > cap(hopBuf) {
-					hopBuf = append(scr.IntsCap(2*cap(hopBuf)+len(nbrs)), hopBuf...)
-				}
 				for hi, h := range nbrs {
 					if net.Distance(h, dst) == base-1 {
 						hopBuf = append(hopBuf, lids[hi])
@@ -233,9 +239,6 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			if linkUse[l] < budget {
 				open = append(open, l)
 			}
-		}
-		if len(hopBuf) > cap(candBuf) {
-			candBuf = scr.IntsCap(len(hopBuf))
 		}
 		for queued > 0 || len(remaining) > 0 {
 			if err := ctx.Err(); err != nil {
@@ -413,7 +416,7 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 		active = active[:k]
 	}
 	if !opt.NoRefine {
-		refineRoutes(net, pairs, routes, linkUse, unique, scr)
+		refineRoutes(net, pairs, routes, linkUse, unique, ints, bools)
 	}
 	for _, u := range linkUse {
 		if u > stats.MaxContention {
@@ -428,6 +431,15 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 
 // reserved marks, in matchY, an open link held by its queue head.
 const reserved = -2
+
+// carve cuts the first k elements off *slab and returns them, capped at
+// k so that an append past them reallocates instead of overwriting the
+// next buffer.
+func carve[T any](slab *[]T, k int) []T {
+	buf := (*slab)[:k:k]
+	*slab = (*slab)[k:]
+	return buf
+}
 
 // advance moves edge ei across link id.
 func advance(net *topology.Network, routes []topology.Route, pos, linkUse []int, ei, id int) {
@@ -445,23 +457,19 @@ func advance(net *topology.Network, routes []topology.Route, pos, linkUse []int,
 // shortest-path DAG, repeating until a sweep makes no change or after 4
 // sweeps. Pairs with unique[i] set have exactly one shortest path, which
 // the DP would return unchanged, so they are skipped; a nil unique runs
-// the DP for every pair.
-func refineRoutes(net *topology.Network, pairs [][2]int, routes []topology.Route, linkUse []int, unique []bool, scr *graph.Scratch) {
+// the DP for every pair. The DP memo and the path buffer are carved from
+// ints (at least 4·Processors plus the longest route) and bools (at
+// least Processors), zeroed.
+func refineRoutes(net *topology.Network, pairs [][2]int, routes []topology.Route, linkUse []int, unique []bool, ints []int, bools []bool) {
 	n := net.Processors()
 	memo := congMemo{
-		stamp: scr.Ints(n),
-		max:   scr.Ints(n),
-		sum:   scr.Ints(n),
-		hop:   scr.Ints(n),
-		set:   scr.Bools(n),
+		stamp: carve(&ints, n),
+		max:   carve(&ints, n),
+		sum:   carve(&ints, n),
+		hop:   carve(&ints, n),
+		set:   carve(&bools, n),
 	}
-	maxLen := 0
-	for _, r := range routes {
-		if len(r) > maxLen {
-			maxLen = len(r)
-		}
-	}
-	buf := scr.IntsCap(maxLen)
+	buf := ints[:0]
 	for sweep := 0; sweep < 4; sweep++ {
 		changed := false
 		for i, p := range pairs {
@@ -547,7 +555,7 @@ func (m *congMemo) solve(net *topology.Network, linkUse []int, dst, v int) (max,
 // minCongestionRoute finds, among shortest src->dst paths, one minimizing
 // first the maximum link load and then the total load, by dynamic
 // programming over the shortest-path DAG. The walk is written into buf
-// (a borrowed scratch slice); callers copy it out if they keep it.
+// (refineRoutes' working buffer); callers copy it out if they keep it.
 func minCongestionRoute(net *topology.Network, src, dst int, linkUse []int, m *congMemo, buf []int) []int {
 	m.epoch++
 	m.stamp[dst] = m.epoch

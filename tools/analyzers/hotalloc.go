@@ -16,9 +16,9 @@ import (
 // regime: inside any loop, constructing maps, channels, slices,
 // closures, pointers-to-literals, formatted strings, string
 // concatenations, or boxing a concrete value into an interface
-// parameter is flagged. Hoist the allocation out of the loop, reuse a
-// scratch buffer, or record a baseline entry measuring why it must
-// stay.
+// parameter is flagged. Hoist the allocation out of the loop (one
+// per-call buffer, re-sliced each iteration) or record a baseline
+// entry measuring why it must stay.
 var hotAllocAnalyzer = &Analyzer{
 	Name:     "hotalloc",
 	Doc:      "no map/slice/closure allocation or interface boxing inside loops of //oregami:hot files",
@@ -92,7 +92,7 @@ func (p *Pass) checkHotFile(f *ast.File) {
 		case *ast.UnaryExpr:
 			if depth > 0 && x.Op == token.AND {
 				if _, ok := x.X.(*ast.CompositeLit); ok {
-					p.Reportf(x, "pointer-to-literal allocated inside a loop in a hot file; reuse a scratch value")
+					p.Reportf(x, "pointer-to-literal allocated inside a loop in a hot file; hoist it out of the loop")
 					return false // don't double-report the literal
 				}
 			}
@@ -133,12 +133,12 @@ func (p *Pass) checkHotCall(call *ast.CallExpr) {
 			case *ast.ChanType:
 				p.Reportf(call, "channel allocated inside a loop in a hot file")
 			case *ast.ArrayType:
-				p.Reportf(call, "slice allocated inside a loop in a hot file; reuse a scratch buffer (sync.Pool or per-worker arena)")
+				p.Reportf(call, "slice allocated inside a loop in a hot file; hoist it out of the loop")
 			}
 		}
 		return
 	case "new":
-		p.Reportf(call, "new() inside a loop in a hot file; reuse a scratch value")
+		p.Reportf(call, "new() inside a loop in a hot file; hoist it out of the loop")
 		return
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
@@ -197,7 +197,7 @@ func (p *Pass) checkHotComposite(lit *ast.CompositeLit) {
 		p.Reportf(lit, "map literal inside a loop in a hot file; hoist it")
 	case *ast.ArrayType:
 		if t.Len == nil {
-			p.Reportf(lit, "slice literal inside a loop in a hot file; reuse a scratch buffer")
+			p.Reportf(lit, "slice literal inside a loop in a hot file; hoist it out of the loop")
 		}
 	}
 }
