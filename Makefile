@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test -run=FuzzGroup -fuzz=FuzzGroup -fuzztime=$(FUZZTIME) ./internal/group/
 	$(GO) test -run=FuzzMMRouteDifferential -fuzz=FuzzMMRouteDifferential -fuzztime=$(FUZZTIME) ./internal/route/
 	$(GO) test -run=FuzzResolveMemo -fuzz=FuzzResolveMemo -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run=FuzzCacheKey -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/serve/
 
 # Static analysis: formatting, go vet, and oregami-lint
 # (tools/analyzers) against the checked-in baseline — pre-existing

@@ -370,7 +370,7 @@ func BenchmarkKLRefine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		part := append([]int(nil), base...)
-		contract.KLRefine(g, part, 8, 8)
+		contract.KLRefine(context.Background(), g, part, 8, 8)
 	}
 }
 
@@ -384,7 +384,7 @@ func BenchmarkSwapRefine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		place := append([]int(nil), base...)
-		embed.SwapRefine(g, net, place, 8)
+		embed.SwapRefine(context.Background(), g, net, place, 8)
 	}
 }
 

@@ -1,6 +1,8 @@
 package contract
 
 import (
+	"context"
+
 	"oregami/internal/graph"
 )
 
@@ -10,8 +12,10 @@ import (
 // Sweeps repeat until no improvement or maxSweeps is reached. It returns
 // the refined partition (modified in place) and the number of improving
 // moves. Pass maxSize = 0 for "preserve the current maximum cluster
-// size".
-func KLRefine(g *graph.TaskGraph, part []int, maxSize, maxSweeps int) ([]int, int) {
+// size". It checks ctx before every sweep and every task's row and
+// returns ctx.Err() once the context is done; a live context never
+// changes the result.
+func KLRefine(ctx context.Context, g *graph.TaskGraph, part []int, maxSize, maxSweeps int) ([]int, int, error) {
 	n := g.NumTasks
 	k := 0
 	for _, c := range part {
@@ -48,6 +52,9 @@ func KLRefine(g *graph.TaskGraph, part []int, maxSize, maxSweeps int) ([]int, in
 		improved := false
 		// Single-task moves.
 		for t := 0; t < n; t++ {
+			if err := ctx.Err(); err != nil {
+				return part, moves, err
+			}
 			from := part[t]
 			if size[from] == 1 {
 				continue // would empty the cluster
@@ -75,6 +82,9 @@ func KLRefine(g *graph.TaskGraph, part []int, maxSize, maxSweeps int) ([]int, in
 		}
 		// Pairwise swaps (feasible regardless of size bounds).
 		for a := 0; a < n; a++ {
+			if err := ctx.Err(); err != nil {
+				return part, moves, err
+			}
 			ws := adj.RowWeights(a)
 			for i, nb := range adj.Neighbors(a) {
 				b := int(nb)
@@ -94,5 +104,5 @@ func KLRefine(g *graph.TaskGraph, part []int, maxSize, maxSweeps int) ([]int, in
 			break
 		}
 	}
-	return part, moves
+	return part, moves, nil
 }

@@ -1,7 +1,10 @@
 package contract
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"oregami/internal/workload"
@@ -25,7 +28,10 @@ func TestKLRefineNeverWorse(t *testing.T) {
 				maxSize = s
 			}
 		}
-		refined, moves := KLRefine(g, part, maxSize, 10)
+		refined, moves, err := KLRefine(context.Background(), g, part, maxSize, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
 		after := g.EdgeCut(refined)
 		if after > before {
 			t.Fatalf("trial %d: KL increased cut %g -> %g", trial, before, after)
@@ -55,7 +61,10 @@ func TestKLRefineImprovesRandomSubstantially(t *testing.T) {
 	g := workload.Fig5Graph()
 	part := Random(g, 3, 7)
 	before := g.EdgeCut(part)
-	refined, moves := KLRefine(g, append([]int(nil), part...), 4, 20)
+	refined, moves, err := KLRefine(context.Background(), g, append([]int(nil), part...), 4, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	after := g.EdgeCut(refined)
 	// Greedy local search can stall at a local optimum, but on this
 	// community-structured instance it must recover a meaningful
@@ -71,11 +80,31 @@ func TestKLRefineOnOptimumIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, moves := KLRefine(g, append([]int(nil), part...), 4, 10)
+	refined, moves, err := KLRefine(context.Background(), g, append([]int(nil), part...), 4, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if moves != 0 {
 		t.Errorf("KL found %d moves on the optimal partition", moves)
 	}
 	if g.EdgeCut(refined) != 6 {
 		t.Errorf("cut changed to %g", g.EdgeCut(refined))
+	}
+}
+
+// TestKLRefineStopsOnDoneContext: a done context stops the refinement
+// at its next row check, leaving the partition as it was.
+func TestKLRefineStopsOnDoneContext(t *testing.T) {
+	g := workload.RandomTaskGraph(64, 0.3, 20, 13)
+	part := Random(g, 8, 5)
+	orig := append([]int(nil), part...)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	refined, moves, err := KLRefine(ctx, g, part, 8, 8)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if moves != 0 || !slices.Equal(refined, orig) {
+		t.Errorf("a done context still moved %d tasks", moves)
 	}
 }

@@ -575,7 +575,10 @@ func mapArbitrary(ctx context.Context, req Request, res *Result, trail func(stri
 		m.Part = part
 		trail("arbitrary: contracted to %d clusters (IPC %g)", m.NumClusters(), m.TotalIPC())
 		if req.Refine {
-			_, moves := contract.KLRefine(g, m.Part, 0, 8)
+			_, moves, err := contract.KLRefine(ctx, g, m.Part, 0, 8)
+			if err != nil {
+				return nil, err
+			}
 			trail("arbitrary: KL refinement applied %d moves (IPC %g)", moves, m.TotalIPC())
 		}
 	}
@@ -589,7 +592,10 @@ func mapArbitrary(ctx context.Context, req Request, res *Result, trail func(stri
 	m.Place = place
 	m.Method = "mwm-contract+nn-embed"
 	if req.Refine {
-		_, moves := embed.SwapRefine(cg, req.Net, m.Place, 8)
+		_, moves, err := embed.SwapRefine(ctx, cg, req.Net, m.Place, 8)
+		if err != nil {
+			return nil, err
+		}
 		trail("arbitrary: swap refinement applied %d moves", moves)
 		m.Method += "+refine"
 	}

@@ -2,8 +2,10 @@ package embed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -178,7 +180,10 @@ func TestSwapRefineNeverWorse(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, _ := WeightedDilation(g, net, place)
-		refined, moves := SwapRefine(g, net, place, 10)
+		refined, moves, err := SwapRefine(context.Background(), g, net, place, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
 		after, _ := WeightedDilation(g, net, refined)
 		if after > before {
 			t.Fatalf("trial %d: refinement worsened %g -> %g", trial, before, after)
@@ -212,7 +217,10 @@ func TestSwapRefineBeatsNNEmbedSometimes(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, _ := WeightedDilation(g, net, place)
-		refined, _ := SwapRefine(g, net, place, 10)
+		refined, _, err := SwapRefine(context.Background(), g, net, place, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
 		after, _ := WeightedDilation(g, net, refined)
 		if after > before {
 			t.Fatalf("trial %d: refinement hurt NN-Embed %g -> %g", trial, before, after)
@@ -234,12 +242,36 @@ func TestSwapRefineUsesFreeProcessors(t *testing.T) {
 	g.AddEdge(p, 0, 1, 10)
 	net := topology.Linear(8)
 	place := []int{0, 7}
-	refined, moves := SwapRefine(g, net, place, 10)
+	refined, moves, err := SwapRefine(context.Background(), g, net, place, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if moves == 0 {
 		t.Fatal("no moves made")
 	}
 	if d := net.Distance(refined[0], refined[1]); d != 1 {
 		t.Errorf("pair still %d apart", d)
+	}
+}
+
+// TestSwapRefineStopsOnDoneContext: a done context stops the
+// refinement at its next row check, leaving the placement as it was.
+func TestSwapRefineStopsOnDoneContext(t *testing.T) {
+	g := gen.TaskGraph(gen.Rand(19), gen.GraphSize{Tasks: 16, Phases: 2, Density: 0.5, MaxWeight: 8})
+	net := topology.Hypercube(4)
+	place, err := Random(16, net, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := append([]int(nil), place...)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	refined, moves, err := SwapRefine(ctx, g, net, place, 8)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if moves != 0 || !slices.Equal(refined, orig) {
+		t.Errorf("a done context still made %d moves", moves)
 	}
 }
 

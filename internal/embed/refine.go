@@ -1,6 +1,8 @@
 package embed
 
 import (
+	"context"
+
 	"oregami/internal/graph"
 	"oregami/internal/topology"
 )
@@ -12,8 +14,10 @@ import (
 // the total weight x distance objective. It runs until a full sweep
 // yields no improvement or maxSweeps is exhausted, and returns the
 // improved placement (the input slice is modified in place) plus the
-// number of improving moves applied.
-func SwapRefine(cg *graph.TaskGraph, net *topology.Network, place []int, maxSweeps int) ([]int, int) {
+// number of improving moves applied. It checks ctx before every
+// cluster's row of candidate processors and returns ctx.Err() once the
+// context is done; a live context never changes the result.
+func SwapRefine(ctx context.Context, cg *graph.TaskGraph, net *topology.Network, place []int, maxSweeps int) ([]int, int, error) {
 	k := cg.NumTasks
 	w := make([][]float64, k)
 	for i := range w {
@@ -50,6 +54,9 @@ func SwapRefine(cg *graph.TaskGraph, net *topology.Network, place []int, maxSwee
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		improved := false
 		for c := 0; c < k; c++ {
+			if err := ctx.Err(); err != nil {
+				return place, moves, err
+			}
 			for p := 0; p < net.N; p++ {
 				if p == place[c] {
 					continue
@@ -84,5 +91,5 @@ func SwapRefine(cg *graph.TaskGraph, net *topology.Network, place []int, maxSwee
 			break
 		}
 	}
-	return place, moves
+	return place, moves, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"oregami/internal/analysis"
@@ -142,6 +143,97 @@ type MapResponse struct {
 	Proxied bool   `json:"proxied,omitempty"`
 	// Error is set on failed batch items in /v1/map/batch responses.
 	Error string `json:"error,omitempty"`
+}
+
+// mappingBody is the part of a MapResponse that every answer from one
+// cache entry shares: all of it but the per-request fields (cache,
+// checked, violations, elapsed_ms, proxied, error). An entry marshals it
+// once, compact; an answer writes those bytes with its own fields
+// spliced in after the opening brace (see answer), so the object a
+// client reads decodes as a MapResponse. Its fields, tags and order
+// follow MapResponse's.
+type mappingBody struct {
+	APIVersion  string          `json:"apiVersion"`
+	Workload    string          `json:"workload"`
+	Net         string          `json:"net"`
+	Tasks       int             `json:"tasks"`
+	Procs       int             `json:"procs"`
+	Class       string          `json:"class"`
+	Method      string          `json:"method"`
+	Trail       []string        `json:"trail,omitempty"`
+	Assignment  []int           `json:"assignment"`
+	Metrics     *MetricsSummary `json:"metrics,omitempty"`
+	Fingerprint string          `json:"fingerprint"`
+	ComputeMS   float64         `json:"compute_ms"`
+	Node        string          `json:"node,omitempty"`
+}
+
+// emptyBody is the body of a failed batch item that has no mapping: the
+// zero mappingBody, stamped with the schema version.
+var emptyBody = mustMarshal(mappingBody{APIVersion: APIVersion})
+
+func mustMarshal(v interface{}) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic("serve: " + err.Error())
+	}
+	return b
+}
+
+// answer is one mapping response on its way to the wire: a stored body
+// and this request's own fields.
+type answer struct {
+	body       []byte // a marshalled mappingBody
+	cache      string
+	checked    bool
+	violations []string
+	elapsedMS  float64
+	proxied    bool
+	err        string
+}
+
+// appendHead appends the start of the answer's JSON object: the opening
+// brace, "index" when index >= 0 (a batch item), and the per-request
+// fields with MapResponse's omitempty rules, each followed by a comma.
+// The object continues with body[1:], the stored body past its own
+// brace. Only the rare violations and error strings go through
+// encoding/json.
+func (a *answer) appendHead(dst []byte, index int) []byte {
+	dst = append(dst, '{')
+	if index >= 0 {
+		dst = strconv.AppendInt(append(dst, `"index":`...), int64(index), 10)
+		dst = append(dst, ',')
+	}
+	// cache is one of a few plain words, except on a proxied answer,
+	// where it is the owner's and is escaped like any outside string.
+	dst = appendJSONString(append(dst, `"cache":`...), a.cache)
+	if a.checked {
+		dst = append(dst, `,"checked":true`...)
+	}
+	if len(a.violations) > 0 {
+		dst = append(append(dst, `,"violations":`...), mustMarshal(a.violations)...)
+	}
+	// Shortest round-trip digits without an exponent: a JSON number
+	// that decodes to the same float64 encoding/json would have written.
+	dst = strconv.AppendFloat(append(dst, `,"elapsed_ms":`...), a.elapsedMS, 'f', -1, 64)
+	if a.proxied {
+		dst = append(dst, `,"proxied":true`...)
+	}
+	if a.err != "" {
+		dst = appendJSONString(append(dst, `,"error":`...), a.err)
+	}
+	return append(dst, ',')
+}
+
+// appendJSONString appends s as a JSON string. Plain printable ASCII is
+// copied between quotes; anything else is left to encoding/json.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return append(dst, mustMarshal(s)...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // VetRequest is the body of POST /v1/vet.
@@ -387,7 +479,10 @@ func (s *Server) compute(ctx context.Context, r *resolved) (*cacheEntry, error) 
 		}
 	}
 	fp := check.Fingerprint(m)
-	resp := MapResponse{
+	digest := hashHex(fp)
+	// The one marshal of this response: hits, the persister and a
+	// restart all reuse these bytes.
+	body, err := json.Marshal(mappingBody{
 		APIVersion:  APIVersion,
 		Workload:    r.name,
 		Net:         r.req.Net.Name,
@@ -398,20 +493,20 @@ func (s *Server) compute(ctx context.Context, r *resolved) (*cacheEntry, error) 
 		Trail:       res.Trail,
 		Assignment:  assignment,
 		Metrics:     summary,
-		Fingerprint: hashHex(fp),
+		Fingerprint: digest,
 		ComputeMS:   float64(time.Since(compileStart)) / float64(time.Millisecond),
 		Node:        s.nodeID(),
-	}
-	body, err := json.Marshal(resp)
+	})
 	if err != nil {
 		return nil, &httpError{status: http.StatusInternalServerError, msg: fmt.Sprintf("encode: %v", err)}
 	}
 	return &cacheEntry{
 		key:      r.key,
-		resp:     resp,
+		body:     body,
+		digest:   digest,
 		m:        m,
 		fp:       fp,
-		size:     entrySize(len(body), fp, m),
+		size:     entrySize(body, digest, fp, m),
 		degraded: res.Degraded,
 	}, nil
 }

@@ -4,8 +4,8 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 
 	"oregami/internal/check"
@@ -20,45 +20,61 @@ import (
 // cannot change the produced mapping (timeouts, check, parallelism —
 // the parallel hot paths are bit-deterministic) are deliberately
 // excluded so e.g. a checked and an unchecked request share one entry.
+//
+// The digested text is every part followed by a NUL: "v2", the
+// canonical source, the network name, one "name=value" per binding in
+// name order, and "algo=A|b=B|mm=M|refine=R". It is written into one
+// buffer, without fmt, and hashed once; refCacheKey in the tests is the
+// fmt spelling it must equal byte for byte.
 func cacheKey(canonicalSrc string, bindings map[string]int, netName string, o *MapRequestOptions) string {
-	h := sha256.New()
-	part := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	// "v2": the options digest switched from the deprecated force
-	// spelling to the merged algo value, so v1-era persisted stores stay
-	// loadable but go cold rather than aliasing across schema versions.
-	part("v2", canonicalSrc, netName)
-	names := make([]string, 0, len(bindings))
+	// Both buffers live on the stack unless a request outgrows them.
+	names := make([]string, 0, 8)
 	for k := range bindings {
 		names = append(names, k)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
+	buf := make([]byte, 0, 1024)
+	// "v2": the options digest switched from the deprecated force
+	// spelling to the merged algo value, so v1-era persisted stores stay
+	// loadable but go cold rather than aliasing across schema versions.
+	buf = append(append(buf, "v2"...), 0)
+	buf = append(append(buf, canonicalSrc...), 0)
+	buf = append(append(buf, netName...), 0)
 	for _, k := range names {
-		part(fmt.Sprintf("%s=%d", k, bindings[k]))
+		buf = append(append(buf, k...), '=')
+		buf = append(strconv.AppendInt(buf, int64(bindings[k]), 10), 0)
 	}
 	if o != nil {
-		part(fmt.Sprintf("algo=%s|b=%d|mm=%t|refine=%t",
-			o.Algo, o.MaxTasksPerProc, o.MaximumMatchingRouter, o.Refine))
+		buf = append(append(buf, "algo="...), o.Algo...)
+		buf = strconv.AppendInt(append(buf, "|b="...), int64(o.MaxTasksPerProc), 10)
+		buf = strconv.AppendBool(append(buf, "|mm="...), o.MaximumMatchingRouter)
+		buf = strconv.AppendBool(append(buf, "|refine="...), o.Refine)
+		buf = append(buf, 0)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
-// cacheEntry is one memoized mapping: the prebuilt response shell, the
+// cacheEntry is one memoized mapping: its response body marshalled once
+// (the fields every answer from this entry shares, see mappingBody), the
 // live mapping object (needed to re-run the oracle on checked hits), and
 // the full fingerprint recorded at insertion time for integrity checks.
 // Entries restored from the persistent store at boot have m == nil
 // (the mapping object is not persisted); they serve plain hits but a
 // checked request recomputes so the oracle has a live mapping.
 type cacheEntry struct {
-	key  string
-	resp MapResponse
-	m    *mapping.Mapping
-	fp   string // full check.Fingerprint at insert time
-	size int64
+	key string
+	// body is the compact JSON object of the entry's mappingBody: every
+	// answer writes these bytes, and the persister stores them.
+	body []byte
+	// digest is the served fingerprint (the body's "fingerprint", the
+	// hex SHA-256 of fp), which a restored entry's hit check re-derives.
+	digest string
+	m      *mapping.Mapping
+	fp     string // full check.Fingerprint at insert time
+	size   int64
 	// degraded marks a computed result that core.Map downgraded under a
 	// stage deadline: it depends on machine load, so it is answered but
 	// never cached or persisted.
@@ -98,22 +114,32 @@ func newResultCache(maxBytes int64, reg *stats.Registry) *resultCache {
 	}
 }
 
-// get returns the entry for key after verifying its integrity, counting
-// a miss when needLive is set but only a warm-restored (mapping-less)
+// get returns the entry for key after verifying its integrity, and
+// counts a miss when there is none to serve (lookup counts the rest).
+func (c *resultCache) get(key string, needLive bool) (*cacheEntry, bool) {
+	e, ok := c.lookup(key, needLive)
+	if !ok {
+		c.reg.CacheMisses.Add(1)
+	}
+	return e, ok
+}
+
+// lookup is get without the miss count, so a request can look once
+// before its flight and once inside it and still count one hit or one
+// miss. It counts a hit, a warm hit and a corrupt entry. It finds
+// nothing when needLive is set but only a warm-restored (mapping-less)
 // entry is cached. Live entries recompute the mapping's fingerprint (a
 // mutation since insert evicts the entry and counts corruption);
 // restored entries verify that the stored fingerprint still hashes to
-// the response's served fingerprint digest.
-func (c *resultCache) get(key string, needLive bool) (*cacheEntry, bool) {
+// the served fingerprint digest.
+func (c *resultCache) lookup(key string, needLive bool) (*cacheEntry, bool) {
 	if c.maxBytes <= 0 {
-		c.reg.CacheMisses.Add(1)
 		return nil, false
 	}
 	c.mu.Lock()
 	el, ok := c.items[key]
 	if !ok {
 		c.mu.Unlock()
-		c.reg.CacheMisses.Add(1)
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
@@ -125,12 +151,10 @@ func (c *resultCache) get(key string, needLive bool) (*cacheEntry, bool) {
 			// A checked request needs a live mapping for the oracle:
 			// treat the restored entry as a miss and recompute (the
 			// fresh entry replaces this one).
-			c.reg.CacheMisses.Add(1)
 			return nil, false
 		}
-		if hashHex(e.fp) != e.resp.Fingerprint {
+		if hashHex(e.fp) != e.digest {
 			c.reg.CacheCorrupt.Add(1)
-			c.reg.CacheMisses.Add(1)
 			c.remove(key)
 			return nil, false
 		}
@@ -143,7 +167,6 @@ func (c *resultCache) get(key string, needLive bool) (*cacheEntry, bool) {
 	// route set and must not serialize other cache traffic.
 	if check.Fingerprint(e.m) != e.fp {
 		c.reg.CacheCorrupt.Add(1)
-		c.reg.CacheMisses.Add(1)
 		c.remove(key)
 		return nil, false
 	}
@@ -212,11 +235,14 @@ func (c *resultCache) len() int {
 	return len(c.items)
 }
 
-// entrySize estimates an entry's memory footprint: the response body
-// bytes plus the fingerprint string plus the route storage of the
-// mapping itself.
-func entrySize(respBytes int, fp string, m *mapping.Mapping) int64 {
-	size := int64(respBytes) + int64(len(fp))
+// entrySize is an entry's charged size: the exact bytes of its body, its
+// served digest and its fingerprint, plus an estimate of the live
+// mapping's route and assignment storage (none for a restored entry).
+func entrySize(body []byte, digest, fp string, m *mapping.Mapping) int64 {
+	size := int64(len(body) + len(digest) + len(fp))
+	if m == nil {
+		return size
+	}
 	for _, routes := range m.Routes {
 		for _, r := range routes {
 			size += int64(8 * len(r))

@@ -33,12 +33,15 @@ func mapEntry(t *testing.T, key, wl string, net *topology.Network) *cacheEntry {
 		t.Fatal(err)
 	}
 	fp := check.Fingerprint(res.Mapping)
+	digest := hashHex(fp)
+	body := mustMarshal(mappingBody{APIVersion: APIVersion, Workload: wl, Net: net.Name, Fingerprint: digest})
 	return &cacheEntry{
-		key:  key,
-		resp: MapResponse{Workload: wl, Net: net.Name},
-		m:    res.Mapping,
-		fp:   fp,
-		size: entrySize(512, fp, res.Mapping),
+		key:    key,
+		body:   body,
+		digest: digest,
+		m:      res.Mapping,
+		fp:     fp,
+		size:   entrySize(body, digest, fp, res.Mapping),
 	}
 }
 
@@ -78,7 +81,7 @@ func TestCacheHitMissAndIntegrity(t *testing.T) {
 	}
 	c.put(e)
 	got, ok := c.get("k1", false)
-	if !ok || got.resp.Workload != "nbody" {
+	if !ok || got != e {
 		t.Fatalf("expected hit, got ok=%v", ok)
 	}
 	if reg.CacheHits.Load() != 1 || reg.CacheMisses.Load() != 1 {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -362,19 +363,26 @@ func TestFrontendMemoCounters(t *testing.T) {
 	if h, m := s.Stats().FrontendMemoHits.Load(), s.Stats().FrontendMemoMisses.Load(); h != 2 || m != 3 {
 		t.Errorf("frontend memo hits/misses = %d/%d, want 2/3", h, m)
 	}
-	for path, want := range map[string]string{
-		"/v1/stats":        "frontend memo: hits 2  misses 3",
-		"/v1/stats?json=1": `"frontend_memo_hits": 2`,
-	} {
+	get := func(path string) []byte {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if !strings.Contains(string(body), want) {
-			t.Errorf("%s lacks %q:\n%s", path, want, body)
-		}
+		return body
+	}
+	if body, want := get("/v1/stats"), "frontend memo: hits 2  misses 3"; !strings.Contains(string(body), want) {
+		t.Errorf("/v1/stats lacks %q:\n%s", want, body)
+	}
+	var env struct {
+		Stats struct {
+			Hits   int64 `json:"frontend_memo_hits"`
+			Misses int64 `json:"frontend_memo_misses"`
+		} `json:"stats"`
+	}
+	if body := get("/v1/stats?json=1"); json.Unmarshal(body, &env) != nil || env.Stats.Hits != 2 || env.Stats.Misses != 3 {
+		t.Errorf("/v1/stats?json=1 frontend memo hits/misses = %d/%d, want 2/3:\n%s", env.Stats.Hits, env.Stats.Misses, body)
 	}
 }
 

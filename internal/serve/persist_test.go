@@ -143,13 +143,13 @@ func TestRestartQuarantinesCorruptState(t *testing.T) {
 func TestVerifyRecordRejectsMismatchedFingerprint(t *testing.T) {
 	resp := MapResponse{Workload: "w", Fingerprint: hashHex("full fingerprint")}
 	payload, _ := json.Marshal(resp)
-	if err := verifyRecord(store.Record{Key: "k", Fingerprint: "full fingerprint", Payload: payload}); err != nil {
+	if _, err := recordBody(store.Record{Key: "k", Fingerprint: "full fingerprint", Payload: payload}); err != nil {
 		t.Errorf("matching record rejected: %v", err)
 	}
-	if err := verifyRecord(store.Record{Key: "k", Fingerprint: "tampered", Payload: payload}); err == nil {
+	if _, err := recordBody(store.Record{Key: "k", Fingerprint: "tampered", Payload: payload}); err == nil {
 		t.Error("mismatched fingerprint accepted")
 	}
-	if err := verifyRecord(store.Record{Key: "k", Fingerprint: "fp", Payload: []byte("not json")}); err == nil {
+	if _, err := recordBody(store.Record{Key: "k", Fingerprint: "fp", Payload: []byte("not json")}); err == nil {
 		t.Error("garbage payload accepted")
 	}
 }
@@ -162,10 +162,11 @@ func TestWarmEntryIntegrity(t *testing.T) {
 	c := newResultCache(1<<20, reg)
 	fp := "full fingerprint text"
 	e := &cacheEntry{
-		key:  "w1",
-		resp: MapResponse{Workload: "wl", Fingerprint: hashHex(fp)},
-		fp:   fp,
-		size: 64,
+		key:    "w1",
+		body:   mustMarshal(mappingBody{Workload: "wl", Fingerprint: hashHex(fp)}),
+		digest: hashHex(fp),
+		fp:     fp,
+		size:   64,
 	}
 	c.put(e)
 	if _, ok := c.get("w1", false); !ok {
@@ -210,10 +211,10 @@ func TestCacheConcurrentPutEvictRestored(t *testing.T) {
 						c.put(&e)
 					} else {
 						c.put(&cacheEntry{
-							key:  key,
-							resp: MapResponse{Fingerprint: hashHex(fp)},
-							fp:   fp,
-							size: live.size,
+							key:    key,
+							digest: hashHex(fp),
+							fp:     fp,
+							size:   live.size,
 						})
 					}
 				}

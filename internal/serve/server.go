@@ -261,19 +261,23 @@ func publishExpvar(reg *stats.Registry) {
 // Handler returns the service's HTTP handler (useful for tests).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// verifyRecord is the store's recovery-time semantic check: the payload
-// must decode as a MapResponse whose served fingerprint digest matches
-// the hash of the record's stored full fingerprint. A record failing
-// this is quarantined by the store, never loaded.
-func verifyRecord(rec store.Record) error {
-	var resp MapResponse
-	if err := json.Unmarshal(rec.Payload, &resp); err != nil {
-		return fmt.Errorf("payload: %w", err)
+// recordBody is the store's recovery-time semantic check and the
+// record's decode: the payload must decode as a response whose served
+// fingerprint digest matches the hash of the record's stored full
+// fingerprint. A record failing this is quarantined by the store, never
+// loaded. The body is re-marshalled from the decoded fields, so a
+// record whose payload is a whole MapResponse (per-request fields
+// included, as stores written before the body was kept verbatim hold)
+// loads as the same body a fresh computation would store.
+func recordBody(rec store.Record) ([]byte, error) {
+	var b mappingBody
+	if err := json.Unmarshal(rec.Payload, &b); err != nil {
+		return nil, fmt.Errorf("payload: %w", err)
 	}
-	if resp.Fingerprint == "" || hashHex(rec.Fingerprint) != resp.Fingerprint {
-		return fmt.Errorf("serve: fingerprint mismatch for %.16s", rec.Key)
+	if b.Fingerprint == "" || hashHex(rec.Fingerprint) != b.Fingerprint {
+		return nil, fmt.Errorf("serve: fingerprint mismatch for %.16s", rec.Key)
 	}
-	return nil
+	return json.Marshal(b)
 }
 
 // OpenStore opens the persistent store at StateDir, replays and
@@ -295,24 +299,33 @@ func (s *Server) openStore() error {
 		return nil
 	}
 	start := time.Now()
+	// Verify decodes each record once and keeps its body by key. The
+	// store verifies records in the order it reports them, so the body
+	// kept for a key is that of the record that wins its last-wins dedup.
+	bodies := make(map[string][]byte)
 	st, rep, err := store.Open(s.cfg.StateDir, store.Options{
 		MaxBytes: s.cfg.StoreBytes,
-		Verify:   verifyRecord,
+		Verify: func(rec store.Record) error {
+			body, err := recordBody(rec)
+			if err == nil {
+				bodies[rec.Key] = body
+			}
+			return err
+		},
 	})
 	if err != nil {
 		return fmt.Errorf("serve: open store: %w", err)
 	}
 	s.store = st
 	for _, rec := range rep.Records {
-		var resp MapResponse
-		if jerr := json.Unmarshal(rec.Payload, &resp); jerr != nil {
-			continue // verifyRecord already vouched; belt and suspenders
-		}
+		body := bodies[rec.Key]
+		digest := hashHex(rec.Fingerprint)
 		s.cache.put(&cacheEntry{
-			key:  rec.Key,
-			resp: resp,
-			fp:   rec.Fingerprint,
-			size: int64(len(rec.Payload) + len(rec.Fingerprint)),
+			key:    rec.Key,
+			body:   body,
+			digest: digest,
+			fp:     rec.Fingerprint,
+			size:   entrySize(body, digest, rec.Fingerprint, nil),
 		})
 	}
 	s.reg.StoreRecovered.Store(int64(len(rep.Records)))
@@ -346,12 +359,7 @@ func (s *Server) persist(e *cacheEntry) {
 func (s *Server) persister() {
 	defer close(s.persistDone)
 	for e := range s.persistCh {
-		payload, err := json.Marshal(e.resp)
-		if err != nil {
-			s.reg.PersistErrors.Add(1)
-			continue
-		}
-		if err := s.store.Put(store.Record{Key: e.key, Fingerprint: e.fp, Payload: payload}); err != nil {
+		if err := s.store.Put(store.Record{Key: e.key, Fingerprint: e.fp, Payload: e.body}); err != nil {
 			s.reg.PersistErrors.Add(1)
 			continue
 		}
@@ -466,14 +474,48 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	return closeErr
 }
 
-// writeJSON renders v with the given status.
+// jsonContentType is the Content-Type of every JSON response, shared so
+// setting it allocates nothing; nothing writes to it.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON renders v, compact and newline-terminated, with the given
+// status.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body = mustMarshal(ErrorResponse{APIVersion: APIVersion, Error: "encode: " + err.Error()})
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
+
+// writeAnswer renders a mapping answer with the given status. A write
+// error means the client is gone; there is no one to tell.
+func writeAnswer(w http.ResponseWriter, status int, a *answer) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_ = writeParts(w, a.appendHead(make([]byte, 0, 64), -1), a.body, newline)
+}
+
+// writeParts writes one answer object: head (from appendHead), the
+// stored body past its opening brace, which is never copied, and tail.
+func writeParts(w io.Writer, head, body, tail []byte) error {
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	if _, err := w.Write(body[1:]); err != nil {
+		return err
+	}
+	_, err := w.Write(tail)
+	return err
+}
+
+var (
+	newline = []byte{'\n'}
+	sseEnd  = []byte("\n\n")
+)
 
 // writeError renders an httpError, including Retry-After when set.
 func (s *Server) writeError(w http.ResponseWriter, herr *httpError) {
@@ -510,11 +552,13 @@ func decodeJSON(r *http.Request, v interface{}) *httpError {
 // oracle check. It powers both /v1/map and each /v1/map/batch item.
 // forwarded is the X-Oregami-Forwarded peer id when this request
 // arrived via a proxy hop — such requests are always served locally.
-func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool, forwarded string) (MapResponse, *httpError) {
+// On an oracle failure the answer carries its violations beside the
+// error; on any other error it is empty.
+func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool, forwarded string) (answer, *httpError) {
 	start := time.Now()
 	r, herr := s.resolve(req)
 	if herr != nil {
-		return MapResponse{}, herr
+		return answer{}, herr
 	}
 	r.opts.Check = r.opts.Check || queryCheck
 	s.reg.Requests.Add(1)
@@ -527,10 +571,10 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 	// availability.
 	if s.cluster != nil && forwarded == "" && !r.opts.NoCache {
 		if owner := s.cluster.Owner(r.key); owner != s.cluster.Self() {
-			if resp, ok := s.proxyToOwner(ctx, req, r, owner); ok {
-				resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+			if a, ok := s.proxyToOwner(ctx, req, r, owner); ok {
+				a.elapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 				s.reg.ObserveStage("total", time.Since(start))
-				return resp, nil
+				return a, nil
 			}
 			s.reg.ProxyFallbacks.Add(1)
 		}
@@ -546,16 +590,20 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 		how = "bypass"
 		e, err := s.computeAdmitted(ctx, r)
 		if err != nil {
-			return MapResponse{}, asHTTPError(err)
+			return answer{}, asHTTPError(err)
 		}
 		entry = e
 		s.keep(e)
+	} else if e, ok := s.cache.lookup(r.key, r.opts.Check); ok {
+		// A hit is answered before the flight: it needs no call to
+		// share. Checked requests need a live mapping for the oracle,
+		// so a warm-restored (mapping-less) entry is no hit for them.
+		entry, how = e, "hit"
 	} else {
-		// The cache lookup happens inside the flight, so each request
-		// performs exactly one lookup (one hit or miss count) and
-		// concurrent identical misses collapse onto one computation.
-		// Checked requests need a live mapping for the oracle, so a
-		// warm-restored (mapping-less) entry counts as a miss for them.
+		// The flight looks again and counts the hit or the miss, so
+		// each request counts one of the two, and concurrent identical
+		// misses collapse onto one computation. The second look finds
+		// what a flight that ended since the first one stored.
 		hit := false
 		e, err, shared := s.flights.do(r.key, func() (*cacheEntry, error) {
 			if e, ok := s.cache.get(r.key, r.opts.Check); ok {
@@ -570,7 +618,7 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 			return e, nil
 		})
 		if err != nil {
-			return MapResponse{}, asHTTPError(err)
+			return answer{}, asHTTPError(err)
 		}
 		entry = e
 		switch {
@@ -587,55 +635,69 @@ func (s *Server) serveOne(ctx context.Context, req *MapRequest, queryCheck bool,
 	if entry.degraded {
 		how = "degraded"
 	}
-	resp := entry.resp // struct copy; slices shared read-only
-	resp.Cache = how
+	a := answer{body: entry.body, cache: how}
 	if r.opts.Check {
-		resp.Checked = true
+		a.checked = true
 		if violations := s.runOracle(entry); len(violations) > 0 {
 			// A cached mapping failing the oracle means the entry went
 			// bad (or the pipeline produced a bad mapping): drop it.
 			s.cache.remove(entry.key)
-			resp.Violations = violations
-			return resp, unprocessable("mapping failed the post-condition oracle with %d violation(s)", len(violations))
+			a.violations = violations
+			return a, unprocessable("mapping failed the post-condition oracle with %d violation(s)", len(violations))
 		}
 	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
+	a.elapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	s.reg.ObserveStage("total", time.Since(start))
-	return resp, nil
+	return a, nil
+}
+
+// ownerAnswer is what a proxy hop reads from the owner's 200: the body
+// plus the owner's own disposition, which the proxied answer keeps.
+type ownerAnswer struct {
+	mappingBody
+	Cache   string `json:"cache"`
+	Checked bool   `json:"checked"`
 }
 
 // proxyToOwner forwards a request to the node owning its cache key and
 // adapts the answer. Only a clean 200 with a decodable, fingerprinted
 // body is used; anything else — a transport error (which trips the
 // owner's circuit), a non-200, an undecodable payload — reports false
-// and the caller falls back to local computation. The proxied response
-// keeps the owner's Cache disposition and Node id and is not cached
-// here: the owner owns that slice of the key space.
-func (s *Server) proxyToOwner(ctx context.Context, req *MapRequest, r *resolved, owner string) (MapResponse, bool) {
+// and the caller falls back to local computation. The proxied answer
+// keeps the owner's Cache disposition, Checked flag and Node id, and is
+// not cached here: the owner owns that slice of the key space. The
+// owner's body is decoded (that is its fingerprint check) and its
+// shared fields marshalled once; the owner's per-request fields are its
+// own, so its bytes are not relayed verbatim.
+func (s *Server) proxyToOwner(ctx context.Context, req *MapRequest, r *resolved, owner string) (answer, bool) {
 	if !s.cluster.Healthy(owner) {
-		return MapResponse{}, false
+		return answer{}, false
 	}
-	body, err := json.Marshal(req)
+	reqBody, err := json.Marshal(req)
 	if err != nil {
-		return MapResponse{}, false
+		return answer{}, false
 	}
 	path := "/v1/map"
 	if r.opts.Check {
 		path += "?check=1"
 	}
-	payload, status, err := s.cluster.Forward(ctx, owner, path, body)
+	payload, status, err := s.cluster.Forward(ctx, owner, path, reqBody)
 	if err != nil || status != http.StatusOK {
 		s.reg.ProxyErrors.Add(1)
-		return MapResponse{}, false
+		return answer{}, false
 	}
-	var resp MapResponse
-	if err := json.Unmarshal(payload, &resp); err != nil || resp.Fingerprint == "" {
+	var got ownerAnswer
+	if err := json.Unmarshal(payload, &got); err != nil || got.Fingerprint == "" {
 		s.reg.ProxyErrors.Add(1)
-		return MapResponse{}, false
+		return answer{}, false
 	}
-	resp.Proxied = true
+	body, err := json.Marshal(got.mappingBody)
+	if err != nil {
+		s.reg.ProxyErrors.Add(1)
+		return answer{}, false
+	}
 	s.reg.ProxiedOut.Add(1)
-	return resp, true
+	return answer{body: body, cache: got.Cache, checked: got.Checked, proxied: true}, true
 }
 
 // keep caches and persists a computed entry, unless it is degraded:
@@ -706,20 +768,20 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, herr)
 		return
 	}
-	resp, herr := s.serveOne(r.Context(), &req, r.URL.Query().Get("check") == "1", forwarded)
+	a, herr := s.serveOne(r.Context(), &req, r.URL.Query().Get("check") == "1", forwarded)
 	if herr != nil {
-		if len(resp.Violations) > 0 {
+		if len(a.violations) > 0 {
 			// Oracle failures return the full response body so the
 			// client sees the violations, not just the error line.
-			resp.Error = herr.msg
-			writeJSON(w, herr.status, resp)
+			a.err = herr.msg
+			writeAnswer(w, herr.status, &a)
 			s.reg.Errors.Add(1)
 			return
 		}
 		s.writeError(w, herr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, http.StatusOK, &a)
 }
 
 // handleBatch fans the items out across the worker pool and streams each
@@ -757,20 +819,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	ctx := r.Context()
 
-	items := make(chan BatchItem)
+	type item struct {
+		index int
+		a     answer
+	}
+	items := make(chan item)
 	var wg sync.WaitGroup
 	for i := range reqs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, herr := s.serveOne(ctx, &reqs[i], queryCheck, forwarded)
+			a, herr := s.serveOne(ctx, &reqs[i], queryCheck, forwarded)
 			if herr != nil {
-				resp.Error = herr.msg
+				a.err = herr.msg
 				s.reg.Errors.Add(1)
 			}
-			resp.APIVersion = APIVersion
+			if a.body == nil {
+				a.body = emptyBody
+			}
 			select {
-			case items <- BatchItem{Index: i, MapResponse: resp}:
+			case items <- item{index: i, a: a}:
 			case <-ctx.Done():
 				// The client is gone (or the server-side deadline fired):
 				// drop the result instead of blocking forever.
@@ -791,20 +859,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	broken := false
-	for item := range items {
+	var head []byte
+	for it := range items {
 		if broken {
 			continue // keep draining so the workers can finish/cancel
 		}
-		line, err := json.Marshal(item)
-		if err != nil {
-			continue
-		}
+		// Each item is a BatchItem object: its index, the per-request
+		// fields, then the stored body, framed as an SSE data event or
+		// an NDJSON line.
+		head = head[:0]
+		end := newline
 		if sse {
-			_, err = fmt.Fprintf(w, "data: %s\n\n", line)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", line)
+			head = append(head, "data: "...)
+			end = sseEnd
 		}
-		if err != nil {
+		head = it.a.appendHead(head, it.index)
+		if err := writeParts(w, head, it.a.body, end); err != nil {
 			broken = true
 			continue
 		}

@@ -186,6 +186,26 @@ func TestMapDeadline(t *testing.T) {
 	}
 }
 
+// TestMapDeadlineWithRefine: the local-search refiners behind
+// options.refine check the request's deadline. Unbounded, this request
+// refines for seconds on the 512-PE hierarchy; with a 100ms budget it
+// must answer 504 well inside a second.
+func TestMapDeadlineWithRefine(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	start := time.Now()
+	status, resp := postMap(t, ts.URL, MapRequest{
+		Workload: "jacobi", Net: "hier:4,4,4,8",
+		Bindings: map[string]int{"n": 32},
+		Options:  &MapRequestOptions{Algo: "arbitrary", Refine: true, TimeoutMS: 100},
+	}, "")
+	if status != http.StatusGatewayTimeout {
+		t.Errorf("status = %d (%s), want 504", status, resp.Error)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("a 100ms request answered after %v", d)
+	}
+}
+
 // TestConcurrentIdenticalRequestsDeduplicate fires identical concurrent
 // cold requests and asserts singleflight collapsed them onto at most a
 // few computations (cold misses + shared + hits must cover all).
