@@ -27,6 +27,7 @@ fuzz:
 	$(GO) test -run=FuzzDetect -fuzz=FuzzDetect -fuzztime=$(FUZZTIME) ./internal/canned/
 	$(GO) test -run=FuzzGroup -fuzz=FuzzGroup -fuzztime=$(FUZZTIME) ./internal/group/
 	$(GO) test -run=FuzzMMRouteDifferential -fuzz=FuzzMMRouteDifferential -fuzztime=$(FUZZTIME) ./internal/route/
+	$(GO) test -run=FuzzNextLinks -fuzz=FuzzNextLinks -fuzztime=$(FUZZTIME) ./internal/topology/
 	$(GO) test -run=FuzzResolveMemo -fuzz=FuzzResolveMemo -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=FuzzCacheKey -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/serve/
 
@@ -49,9 +50,9 @@ lint-baseline:
 # hot paths and on the whole pipeline at 1, 2 and 4 workers, plus the
 # multilevel and recursive-bisection scale rows (scale_test.go: 1e5 and
 # 1e6 tasks onto the 512-PE hierarchy, with TotalIPC and tasks-per-
-# processor ceilings beside allocs/op). A separate non-race pass — the
-# gates skip themselves under the race detector, whose instrumentation
-# allocates. See docs/TESTING.md.
+# processor ceilings beside allocs/op and bytes/op). A separate
+# non-race pass — the gates skip themselves under the race detector,
+# whose instrumentation allocates. See docs/TESTING.md.
 alloc:
 	$(GO) test -count=1 -run='TestAllocBudget|TestScale(Multilevel|Bisect)Million' .
 

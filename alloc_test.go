@@ -188,8 +188,10 @@ func TestAllocBudgetContract(t *testing.T) {
 }
 
 // TestAllocBudgetRoute gates MM-Route on 96 random pairs on
-// hypercube(4). Its bytes ceiling is 10% over the measured 21,680
-// bytes/op: the call's two slabs, the routes and their backing.
+// hypercube(4). Its bytes ceiling is 10% over the measured 15,920
+// bytes/op: the call's two slabs, the routes and their backing (21,680
+// while the working buffers were sized by every pair, with a separate
+// candidate buffer).
 func TestAllocBudgetRoute(t *testing.T) {
 	_, net := allocWorkload(t)
 	r := gen.Rand(11)
@@ -203,7 +205,7 @@ func TestAllocBudgetRoute(t *testing.T) {
 		}
 	}
 	gate(t, "MMRoute", 48, fn)
-	bytesGate(t, "MMRoute", 23848, fn)
+	bytesGate(t, "MMRoute", 17512, fn)
 }
 
 // TestAllocBudgetDistance holds Distance to zero allocations: it sits
@@ -257,7 +259,8 @@ func hierRouteInput() (*topology.Network, [][2]int) {
 // distance. A run makes 4 allocations (the route slice, the backing
 // all routes share, and the call's int and bool slabs); a
 // per-Distance allocation would make millions. The bytes ceiling is 10%
-// over the measured 299,141 bytes/op.
+// over the measured 274,565 bytes/op (299,141 with working buffers
+// sized by every pair).
 func TestAllocBudgetRouteHier(t *testing.T) {
 	net, pairs := hierRouteInput()
 	fn := func() {
@@ -266,7 +269,27 @@ func TestAllocBudgetRouteHier(t *testing.T) {
 		}
 	}
 	gate(t, "MMRoute hier(4x4x4x8)", 4, fn)
-	bytesGate(t, "MMRoute hier(4x4x4x8)", 329055, fn)
+	bytesGate(t, "MMRoute hier(4x4x4x8)", 302022, fn)
+}
+
+// TestAllocBudgetRouteSelfPairs gates MM-Route on the busiest phase of
+// the ml-stencil request (jacobi n=100 mapped by multilevel onto
+// hier(4x4x4x8)): 39,600 pairs of which 8,696 cross processors. Its
+// working buffers are sized by the routed pairs, so the self pairs cost
+// only their nil route headers. A run makes 4 allocations (the route
+// slice, the shared backing and the two slabs); the bytes ceiling is
+// 10% over the measured 1,975,562 bytes/op, where slabs sized by every
+// pair read 5,423,125.
+func TestAllocBudgetRouteSelfPairs(t *testing.T) {
+	skipAllocGate(t)
+	net, pairs := busiestMultilevelPhase(t)
+	fn := func() {
+		if _, _, err := route.MMRoute(net, pairs, route.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate(t, "MMRoute ml-stencil phase", 4, fn)
+	bytesGate(t, "MMRoute ml-stencil phase", 2173118, fn)
 }
 
 // TestAllocBudgetRouteCold holds TestAllocBudgetRouteHier's ceiling on
@@ -369,8 +392,9 @@ func TestAllocBudgetMultilevelContract(t *testing.T) {
 // Parallelism budget. Each ceiling is 10% over the allocs/op that
 // BenchmarkParallelPipeline last recorded for that worker count (4183,
 // 4243 and 4224 for 1, 2 and 4 workers). Each bytes ceiling is 10% over
-// the bytes/op measured at that worker count (9,470,230, 9,757,766 and
-// 9,757,985).
+// the bytes/op measured at that worker count (8,810,759, 9,098,154 and
+// 9,098,622; 9,470,230, 9,757,766 and 9,757,985 while MM-Route sized its
+// working buffers by every pair).
 func TestAllocBudgetPipeline(t *testing.T) {
 	c, net := allocWorkload(t)
 	for _, tc := range []struct {
@@ -378,9 +402,9 @@ func TestAllocBudgetPipeline(t *testing.T) {
 		ceiling float64
 		bytes   float64
 	}{
-		{1, 4601, 10417253},
-		{2, 4667, 10733543},
-		{4, 4646, 10733784},
+		{1, 4601, 9691835},
+		{2, 4667, 10007969},
+		{4, 4646, 10008484},
 	} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
 			req := core.Request{Compiled: c, Net: net, Parallelism: tc.workers}
@@ -536,10 +560,11 @@ func TestAllocBudgetServeHit(t *testing.T) {
 // process: a nocache POST /v1/map of jacobi n=8 onto hypercube(4), so
 // every run compiles, maps, measures and fingerprints. It pins that a
 // miss marshals its response once, into the bytes its cache entry keeps
-// and writes. It measures 326 allocs/op and 103,576 bytes/op; encoding
-// the response a second time for the wire made 344 and 108,584. The
-// ceilings, 5% and 3% over the measured values, sit below those, so
-// the gate fails if a second encode comes back.
+// and writes. It measures 326 allocs/op and 86,424 bytes/op (103,576
+// before MM-Route sized its working buffers by the routed pairs);
+// encoding the response a second time for the wire made 344 allocs/op
+// and ~5 kB more. The ceilings, 5% and 3% over the measured values, sit
+// below those, so the gate fails if a second encode comes back.
 func TestAllocBudgetServeMiss(t *testing.T) {
 	skipAllocGate(t)
 	h := serve.New(serve.Config{}).Handler()
@@ -549,7 +574,7 @@ func TestAllocBudgetServeMiss(t *testing.T) {
 	}
 	miss := func() { post() }
 	gate(t, "serve /v1/map miss", 342, miss)
-	bytesGate(t, "serve /v1/map miss", 106684, miss)
+	bytesGate(t, "serve /v1/map miss", 89017, miss)
 }
 
 // servePost returns a function that POSTs body to h's /v1/map and

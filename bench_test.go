@@ -213,7 +213,7 @@ func BenchmarkMMRoute(b *testing.B) {
 // busiestMultilevelPhase maps jacobi n=100 with the multilevel engine
 // onto hier:4,4,4,8 and returns the pairs of the phase whose routes make
 // the most hops.
-func busiestMultilevelPhase(b *testing.B) (*topology.Network, [][2]int) {
+func busiestMultilevelPhase(b testing.TB) (*topology.Network, [][2]int) {
 	w, err := workload.ByName("jacobi")
 	if err != nil {
 		b.Fatal(err)

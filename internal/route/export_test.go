@@ -6,10 +6,17 @@ import "oregami/internal/topology"
 // differential tests, whose reference MM-Route shares it. It skips no
 // pair: the referee runs the DP even where the shortest path is unique.
 func RefineRoutes(net *topology.Network, pairs [][2]int, routes []topology.Route, linkUse []int) {
-	maxLen := 0
-	for _, r := range routes {
-		maxLen = max(maxLen, len(r))
+	var refine []int
+	maxLen, maxDeg := 0, 0
+	for i, p := range pairs {
+		if p[0] != p[1] {
+			refine = append(refine, i)
+			maxLen = max(maxLen, len(routes[i]))
+		}
 	}
 	n := net.Processors()
-	refineRoutes(net, pairs, routes, linkUse, nil, make([]int, 4*n+maxLen), make([]bool, n))
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, net.Degree(v))
+	}
+	refineRoutes(net, pairs, routes, linkUse, refine, make([]int, 4*n+maxLen*(1+maxDeg)), make([]bool, n))
 }

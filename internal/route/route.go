@@ -31,14 +31,15 @@ type Options struct {
 	// matching can strand load on hot links).
 	NoRefine bool
 	// Ctx carries cooperative cancellation into the matching rounds,
-	// checked once per round (nil means no cancellation). The Distance
-	// scans that find each edge's next-hop links run once per hop
-	// round. A matching round touches one open link per forced edge it
-	// advances (forced edges wait in per-link queues) and filters,
-	// sorts and matches the links of the remaining choice edges, in
-	// time about linear in their number (the per-edge sort is quadratic
-	// in a segment no longer than the edge's degree). A round that
-	// matches nothing costs only the choice edges.
+	// checked once per round (nil means no cancellation). Each edge's
+	// next-hop links (NextLinks, a closed form on the regular
+	// families) are found once per hop round. A matching round
+	// touches one open link per forced edge it advances (forced edges
+	// wait in per-link queues) and filters, sorts and matches the links
+	// of the remaining choice edges, in time about linear in their
+	// number (the per-edge sort is quadratic in a segment no longer
+	// than the edge's degree). A round that matches nothing costs only
+	// the choice edges.
 	Ctx context.Context
 	// Parallelism bounds RouteAll's per-phase fan-out: communication
 	// phases route independently on up to this many goroutines
@@ -79,7 +80,14 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 	// ever step one hop closer), so pair i needs exactly Distance hops:
 	// carve all route storage from one allocation instead of letting each
 	// route's appends grow independently.
-	total, maxLen := 0, 0
+	// An edge at distance d has at most min(d, fan) next-hop links in
+	// any hop round (its distance only falls), where fan is the
+	// network's bound on NextLinks; hops sums that over the routed pairs.
+	fan := net.MaxNextLinks()
+	if fan == 0 {
+		fan = 2 // no bound: start at two per edge and grow past it
+	}
+	total, maxLen, na, hops := 0, 0, 0, 0
 	for _, p := range pairs {
 		if p[0] == p[1] {
 			continue
@@ -90,6 +98,8 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 		}
 		total += d
 		maxLen = max(maxLen, d)
+		na++
+		hops += min(d, fan)
 	}
 	maxDeg := 0
 	for v := 0; v < net.Processors(); v++ {
@@ -98,54 +108,61 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 		}
 	}
 
+	// Only the na routed pairs (src != dst) take part in the rounds, so
+	// every per-edge working buffer is indexed by the edge's slot: its
+	// rank among the routed pairs, pairOf[slot] its pair index. Slots
+	// keep pair order, so every tie-break on edge indices is the one a
+	// pair-indexed buffer gives; self pairs keep nil routes and cost
+	// nothing here.
 	// Working buffers are carved from one []int and one []bool slab
 	// allocated for this call and re-sliced every hop round or matching
 	// round; no result aliases them. An edge's position only changes
 	// when it is matched, and a matched edge leaves the round, so the
 	// links one hop closer to its destination are fixed for the whole
-	// hop round: they are computed once per hop round into hopBuf (edge
+	// hop round: they are found once per hop round into hopBuf (edge
 	// ei owns hopBuf[hopOff[ei]:hopEnd[ei]]), and each matching round
-	// only filters them by the budget. hopBuf starts at two links per
-	// pair and grows by append past that, so its size follows the
-	// shortest-path fan-out the phase meets, not len(pairs) x maxDeg: on
-	// a hierarchy shortest paths are mostly unique while a
-	// representative PE has a link to every sibling at every level (16
-	// on hier:4,4,4,8). Candidates are a subset of the next-hop links,
-	// so candBuf, which starts at the same capacity, outgrows it only
-	// after hopBuf has.
-	// The int slab holds 13 ints per pair plus one (nine per-pair
-	// buffers, candOff's extra entry, hopBuf and candBuf at two each), 5
-	// per link, the waiting and open lists, counts, and refineRoutes' 4
-	// per processor plus the longest route; the bool slab holds unique
-	// and the memo's set.
-	np, nl, n := len(pairs), net.NumLinks(), net.Processors()
-	nw := min(nl, np)
-	ints := make([]int, 13*np+1+5*nl+2*nw+maxDeg+2+4*n+maxLen)
-	bools := make([]bool, np+n)
-	pos := carve(&ints, np)
-	active := carve(&ints, np)[:0]
+	// only filters them by the budget, in place. hopBuf holds hops
+	// links, so its size follows the shortest-path fan-out of the
+	// family, not na x maxDeg: on a hierarchy shortest paths are unique
+	// (one link per edge) while a representative PE has a link to every
+	// sibling at every level (16 on hier:4,4,4,8). Only a family
+	// without a bound can outgrow it, and then grows it by append.
+	// The int slab holds 9 ints per edge (the per-edge buffers),
+	// hopBuf, 5 per link, the waiting and open lists, counts, and
+	// refineRoutes' 4 per processor, the longest route and its
+	// next-link stack; the bool slab holds unique and the memo's set.
+	nl, n := net.NumLinks(), net.Processors()
+	nw := min(nl, na)
+	ints := make([]int, 9*na+hops+5*nl+2*nw+maxDeg+2+4*n+maxLen*(1+maxDeg))
+	bools := make([]bool, na+n)
+	pairOf := carve(&ints, na)
+	pos := carve(&ints, na)
+	active := carve(&ints, na)
 	backing := make([]int, total)
-	off := 0
+	off, next := 0, 0 // next is the next free slot
 	for i, p := range pairs {
-		pos[i] = p[0]
 		if p[0] != p[1] {
 			d := net.Distance(p[0], p[1])
 			routes[i] = topology.Route(backing[off : off : off+d])
 			off += d
-			active = append(active, i)
+			pairOf[next], pos[next], active[next] = i, p[0], next
+			next++
 		}
 	}
 	var stats Stats
 	linkUse := carve(&ints, nl)
-	remaining := carve(&ints, np)[:0]
-	hopBuf := carve(&ints, 2*np)[:0]
-	hopOff := carve(&ints, np)
-	hopEnd := carve(&ints, np)
-	candBuf := carve(&ints, 2*np)[:0]
-	candOff := carve(&ints, np+1)
-	order := carve(&ints, np)
+	// Each hop round splits edges between the choice edges (remaining,
+	// from the front) and the queued forced edges (qBuf, after them):
+	// together they are the active edges, and remaining only shrinks
+	// within the round.
+	edges := carve(&ints, na)
+	hopBuf := carve(&ints, hops)[:0]
+	hopOff := carve(&ints, na)
+	hopEnd := carve(&ints, na)
+	candN := carve(&ints, na)
+	order := carve(&ints, na)
 	counts := carve(&ints, maxDeg+2)
-	matchX := carve(&ints, np)
+	matchX := carve(&ints, na)
 	// matchY stays all -1 between rounds: each greedy round undoes only
 	// the links it matched or reserved.
 	matchY := carve(&ints, nl)
@@ -154,23 +171,22 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 	}
 	// An edge with exactly one next-hop link is forced: it can only ever
 	// bid for that link, with candidate count 1, so it waits in the
-	// link's FIFO queue (ascending edge index) instead of being filtered,
+	// link's FIFO queue (ascending slot) instead of being filtered,
 	// sorted and offered the link every matching round. The queues are
 	// one counting-sort CSR per hop round: link l's waiting edges are
 	// qBuf[qHead[l]:qEnd[l]], waiting lists the links with a queue, and
-	// open those of them still under the budget. unique[i] records that
-	// every hop of pair i was forced, so its route is the only shortest
+	// open those of them still under the budget. unique[ei] records that
+	// every hop of edge ei was forced, so its route is the only shortest
 	// path and refinement cannot change it. Under UseMaximum every edge
 	// stays a choice edge: Hopcroft-Karp needs the whole bipartite graph.
 	qLen := carve(&ints, nl)
 	qHead := carve(&ints, nl)
 	qEnd := carve(&ints, nl)
-	qBuf := carve(&ints, np)
 	waiting := carve(&ints, nw)[:0]
 	open := carve(&ints, nw)[:0]
-	unique := carve(&bools, np)
-	for _, i := range active {
-		unique[i] = true
+	unique := carve(&bools, na)
+	for ei := range unique {
+		unique[ei] = true
 	}
 
 	// budget is the per-link usage ceiling currently allowed; it only
@@ -184,26 +200,16 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 		// One hop round: every active edge must obtain a link for its
 		// next hop via repeated matchings under the budget. First fix
 		// each edge's next-hop links: those to neighbors one hop closer
-		// to dst, in ascending neighbor order (NextHops' order, without
-		// its per-call slice or a LinkBetween lookup per hop). Forced
-		// edges are counted per link; the rest ("choice" edges) remain
-		// for the matching rounds in ascending index.
+		// to dst, in ascending neighbor order (NextLinks). Forced edges
+		// are counted per link; the rest ("choice" edges) remain for the
+		// matching rounds in ascending slot.
 		hopBuf = hopBuf[:0]
-		remaining = remaining[:0]
+		remaining := edges[:0]
 		waiting = waiting[:0]
 		queued := 0
 		for _, ei := range active {
 			hopOff[ei] = len(hopBuf)
-			dst := pairs[ei][1]
-			if base := net.Distance(pos[ei], dst); base >= 0 {
-				nbrs := net.Neighbors(pos[ei])
-				lids := net.NeighborLinks(pos[ei])
-				for hi, h := range nbrs {
-					if net.Distance(h, dst) == base-1 {
-						hopBuf = append(hopBuf, lids[hi])
-					}
-				}
-			}
+			hopBuf = net.NextLinks(pos[ei], pairs[pairOf[ei]][1], hopBuf)
 			hopEnd[ei] = len(hopBuf)
 			if hopEnd[ei]-hopOff[ei] != 1 {
 				unique[ei] = false
@@ -219,6 +225,7 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 				remaining = append(remaining, ei)
 			}
 		}
+		qBuf := edges[len(remaining):len(active)]
 		if queued > 0 {
 			start := 0
 			for _, l := range waiting {
@@ -255,22 +262,27 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			nRem := len(remaining)
 			// X = remaining choice edges, Y = links; candidates are the
 			// next-hop links with usage below the budget, tried coldest
-			// first. Most-constrained edges match first. Candidate
-			// lists live as segments of candBuf: edge xi owns
-			// candBuf[candOff[xi]:candOff[xi+1]].
-			candBuf = candBuf[:0]
+			// first. Most-constrained edges match first. Each edge's
+			// candidates are moved to the front of its own hopBuf
+			// segment: edge xi (slot ei) owns
+			// hopBuf[hopOff[ei]:hopOff[ei]+candN[xi]]. The segment keeps
+			// every next-hop link, only reordered.
 			for xi, ei := range remaining {
-				candOff[xi] = len(candBuf)
-				for _, id := range hopBuf[hopOff[ei]:hopEnd[ei]] {
+				seg := hopBuf[hopOff[ei]:hopEnd[ei]]
+				c := 0
+				for j, id := range seg {
 					if linkUse[id] < budget {
-						candBuf = append(candBuf, id)
+						seg[c], seg[j] = id, seg[c]
+						c++
 					}
 				}
-				// Insertion-sort the segment by (load, id) — a strict
-				// total order (link ids are distinct), so the result is
-				// the one sort.Slice produced here before the flat-core
-				// refactor.
-				seg := candBuf[candOff[xi]:]
+				candN[xi] = c
+				// Insertion-sort the candidates by (load, id) — a strict
+				// total order (link ids are distinct), so the result
+				// does not depend on the order an earlier round left
+				// the segment in, and is the one sort.Slice produced
+				// here before the flat-core refactor.
+				seg = seg[:c]
 				for i := 1; i < len(seg); i++ {
 					for j := i; j > 0; j-- {
 						la, lc := seg[j-1], seg[j]
@@ -281,13 +293,12 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 					}
 				}
 			}
-			candOff[nRem] = len(candBuf)
 			// Order edges by (candidate count, index) via counting sort:
 			// buckets fill in ascending xi, which is exactly the strict
 			// total order the previous sort.Slice computed.
 			maxC := 0
 			for xi := 0; xi < nRem; xi++ {
-				c := candOff[xi+1] - candOff[xi]
+				c := candN[xi]
 				counts[c]++
 				if c > maxC {
 					maxC = c
@@ -301,7 +312,7 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			}
 			ord := order[:nRem]
 			for xi := 0; xi < nRem; xi++ {
-				c := candOff[xi+1] - candOff[xi]
+				c := candN[xi]
 				ord[counts[c]] = xi
 				counts[c]++
 			}
@@ -312,7 +323,8 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			if opt.UseMaximum {
 				b := matching.NewBipartite(nRem, nl)
 				for _, xi := range ord {
-					for _, id := range candBuf[candOff[xi]:candOff[xi+1]] {
+					ei := remaining[xi]
+					for _, id := range hopBuf[hopOff[ei] : hopOff[ei]+candN[xi]] {
 						b.AddEdge(xi, id)
 					}
 				}
@@ -328,7 +340,8 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 					mX[i] = -1
 				}
 				for _, xi := range ord {
-					seg := candBuf[candOff[xi]:candOff[xi+1]]
+					ei := remaining[xi]
+					seg := hopBuf[hopOff[ei] : hopOff[ei]+candN[xi]]
 					if len(seg) == 1 {
 						id := seg[0]
 						if y := matchY[id]; y == -1 || (y == reserved && remaining[xi] < qBuf[qHead[id]]) {
@@ -351,7 +364,8 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			progressed := len(open) > 0
 			for _, l := range open {
 				if matchY[l] == reserved {
-					advance(net, routes, pos, linkUse, qBuf[qHead[l]], l)
+					ei := qBuf[qHead[l]]
+					advance(net, &routes[pairOf[ei]], &pos[ei], linkUse, l)
 					qHead[l]++
 					queued--
 				}
@@ -367,7 +381,7 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 				}
 				progressed = true
 				matchY[link] = -1 // undo the greedy match (a no-op for Hopcroft-Karp)
-				advance(net, routes, pos, linkUse, ei, link)
+				advance(net, &routes[pairOf[ei]], &pos[ei], linkUse, link)
 			}
 			remaining = remaining[:k]
 			// Links that saturated or drained leave the open list.
@@ -389,8 +403,9 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 			// fruitless round in a row means no waiting edge has one.
 			if stalls++; stalls == 2 {
 				ei := remaining[0]
+				i := pairOf[ei]
 				return nil, stats, fmt.Errorf("route: pair %d (%d->%d) has no shortest next hop at processor %d",
-					ei, pairs[ei][0], pairs[ei][1], pos[ei])
+					i, pairs[i][0], pairs[i][1], pos[ei])
 			}
 			budget++
 			k = 0
@@ -408,7 +423,7 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 		// Advance: drop edges that reached their destination.
 		k := 0
 		for _, ei := range active {
-			if pos[ei] != pairs[ei][1] {
+			if pos[ei] != pairs[pairOf[ei]][1] {
 				active[k] = ei
 				k++
 			}
@@ -416,7 +431,16 @@ func MMRoute(net *topology.Network, pairs [][2]int, opt Options) ([]topology.Rou
 		active = active[:k]
 	}
 	if !opt.NoRefine {
-		refineRoutes(net, pairs, routes, linkUse, unique, ints, bools)
+		// Only edges with a choice somewhere are refined: pairOf is
+		// compacted in place to their pair indices, still ascending.
+		k := 0
+		for ei, i := range pairOf {
+			if !unique[ei] {
+				pairOf[k] = i
+				k++
+			}
+		}
+		refineRoutes(net, pairs, routes, linkUse, pairOf[:k], ints, bools)
 	}
 	for _, u := range linkUse {
 		if u > stats.MaxContention {
@@ -441,27 +465,28 @@ func carve[T any](slab *[]T, k int) []T {
 	return buf
 }
 
-// advance moves edge ei across link id.
-func advance(net *topology.Network, routes []topology.Route, pos, linkUse []int, ei, id int) {
-	routes[ei] = append(routes[ei], id)
+// advance moves an edge at *at along route *r across link id.
+func advance(net *topology.Network, r *topology.Route, at *int, linkUse []int, id int) {
+	*r = append(*r, id)
 	linkUse[id]++
-	if l := net.Link(id); pos[ei] == l.A {
-		pos[ei] = l.B
-	} else {
-		pos[ei] = l.A
-	}
+	*at = net.Link(id).Other(*at)
 }
 
-// refineRoutes levels link load: each route is removed and replaced by
+// refineRoutes levels link load: each route of the pairs listed in
+// refine (ascending pair indices, src != dst) is removed and replaced by
 // the shortest path minimizing (max link load, total link load) over the
 // shortest-path DAG, repeating until a sweep makes no change or after 4
-// sweeps. Pairs with unique[i] set have exactly one shortest path, which
-// the DP would return unchanged, so they are skipped; a nil unique runs
-// the DP for every pair. The DP memo and the path buffer are carved from
-// ints (at least 4·Processors plus the longest route) and bools (at
-// least Processors), zeroed.
-func refineRoutes(net *topology.Network, pairs [][2]int, routes []topology.Route, linkUse []int, unique []bool, ints []int, bools []bool) {
+// sweeps. MM-Route leaves out the pairs whose every hop was forced: they
+// have exactly one shortest path, which the DP would return unchanged.
+// The DP memo, the path buffer and the memo's next-link stack are carved
+// from ints (at least 4·Processors plus L·(1+maxDegree) for the longest
+// route L) and bools (at least Processors), zeroed.
+func refineRoutes(net *topology.Network, pairs [][2]int, routes []topology.Route, linkUse []int, refine []int, ints []int, bools []bool) {
 	n := net.Processors()
+	maxLen := 0
+	for _, i := range refine {
+		maxLen = max(maxLen, len(routes[i]))
+	}
 	memo := congMemo{
 		stamp: carve(&ints, n),
 		max:   carve(&ints, n),
@@ -469,13 +494,12 @@ func refineRoutes(net *topology.Network, pairs [][2]int, routes []topology.Route
 		hop:   carve(&ints, n),
 		set:   carve(&bools, n),
 	}
-	buf := ints[:0]
+	buf := carve(&ints, maxLen)
+	memo.stack = ints[:0]
 	for sweep := 0; sweep < 4; sweep++ {
 		changed := false
-		for i, p := range pairs {
-			if p[0] == p[1] || (unique != nil && unique[i]) {
-				continue
-			}
+		for _, i := range refine {
+			p := pairs[i]
 			for _, id := range routes[i] {
 				linkUse[id]--
 			}
@@ -520,25 +544,26 @@ type congMemo struct {
 	// hop: next link id on it; set: a closer neighbor exists (or v=dst).
 	max, sum, hop []int
 	set           []bool
+	// stack holds the next links of every processor solve is visiting:
+	// a call appends its own past its caller's and cuts them off before
+	// returning.
+	stack []int
 }
 
 // solve computes the DP value at v over the shortest-path DAG toward
-// dst. The recursion terminates because Distance strictly decreases.
+// dst. The recursion terminates because every next link leads one hop
+// closer to dst.
 func (m *congMemo) solve(net *topology.Network, linkUse []int, dst, v int) (max, sum int, set bool) {
 	if m.stamp[v] == m.epoch {
 		return m.max[v], m.sum[v], m.set[v]
 	}
-	dv := net.Distance(v, dst)
 	curMax, curSum, curHop := 0, 0, 0
 	curSet := false
-	nbrs := net.Neighbors(v)
-	lids := net.NeighborLinks(v)
-	for ni, u := range nbrs {
-		if net.Distance(u, dst) != dv-1 {
-			continue
-		}
-		id := lids[ni]
-		sMax, sSum, _ := m.solve(net, linkUse, dst, u)
+	start := len(m.stack)
+	m.stack = net.NextLinks(v, dst, m.stack)
+	for i, end := start, len(m.stack); i < end; i++ {
+		id := m.stack[i]
+		sMax, sSum, _ := m.solve(net, linkUse, dst, net.Link(id).Other(v))
 		if linkUse[id] > sMax {
 			sMax = linkUse[id]
 		}
@@ -547,6 +572,7 @@ func (m *congMemo) solve(net *topology.Network, linkUse []int, dst, v int) (max,
 			curMax, curSum, curHop, curSet = sMax, s, id, true
 		}
 	}
+	m.stack = m.stack[:start]
 	m.stamp[v] = m.epoch
 	m.max[v], m.sum[v], m.hop[v], m.set[v] = curMax, curSum, curHop, curSet
 	return curMax, curSum, curSet
@@ -567,12 +593,7 @@ func minCongestionRoute(net *topology.Network, src, dst int, linkUse []int, m *c
 			return route
 		}
 		route = append(route, m.hop[at])
-		l := net.Link(m.hop[at])
-		if at == l.A {
-			at = l.B
-		} else {
-			at = l.A
-		}
+		at = net.Link(m.hop[at]).Other(at)
 	}
 	return route
 }
@@ -605,18 +626,18 @@ func ECube(net *topology.Network, pairs [][2]int) []topology.Route {
 func RandomShortest(net *topology.Network, pairs [][2]int, seed int64) []topology.Route {
 	r := rand.New(rand.NewSource(seed))
 	routes := make([]topology.Route, len(pairs))
+	var hops []int
 	for i, p := range pairs {
 		at := p[0]
 		for at != p[1] {
-			hops := net.NextHops(at, p[1])
+			hops = net.NextLinks(at, p[1], hops[:0])
 			if len(hops) == 0 {
 				routes[i] = nil // unreachable on a degraded network
 				break
 			}
-			h := hops[r.Intn(len(hops))]
-			id, _ := net.LinkBetween(at, h)
+			id := hops[r.Intn(len(hops))]
 			routes[i] = append(routes[i], id)
-			at = h
+			at = net.Link(id).Other(at)
 		}
 	}
 	return routes
@@ -624,15 +645,15 @@ func RandomShortest(net *topology.Network, pairs [][2]int, seed int64) []topolog
 
 func firstShortest(net *topology.Network, src, dst int) topology.Route {
 	var route topology.Route
+	var hops []int
 	at := src
 	for at != dst {
-		hops := net.NextHops(at, dst)
+		hops = net.NextLinks(at, dst, hops[:0])
 		if len(hops) == 0 {
 			return nil
 		}
-		id, _ := net.LinkBetween(at, hops[0])
-		route = append(route, id)
-		at = hops[0]
+		route = append(route, hops[0])
+		at = net.Link(hops[0]).Other(at)
 	}
 	return route
 }

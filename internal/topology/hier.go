@@ -76,12 +76,17 @@ func Hierarchy(fanouts ...int) *Network {
 // code[a]^code[b] lies in the field of the first depth at which a and b
 // differ, and depth maps that bit length back to the depth. nz[x] has
 // bit d set when digit d of x is non-zero, i.e. when x is not its
-// depth-d group's representative. All three are immutable after
+// depth-d group's representative. shift[d] and mask[d] cut digit d out
+// of a code, and size[d] is the PE count of a depth-d subtree, so digit
+// d of x is worth digit·size[d] in x. All are immutable after
 // construction and shared by degraded views.
 type hierTables struct {
 	code  []uint32
 	nz    []uint16
 	depth [33]uint8
+	shift [hierMaxDepth + 1]uint8
+	mask  [hierMaxDepth + 1]uint32
+	size  [hierMaxDepth + 1]int
 }
 
 func newHierTables(fanouts, sizes []int, n int) *hierTables {
@@ -89,26 +94,32 @@ func newHierTables(fanouts, sizes []int, n int) *hierTables {
 	t := &hierTables{code: make([]uint32, n), nz: make([]uint16, n)}
 	// shift[d] is the low bit of digit d's field; the deepest digit sits
 	// at bit 0.
-	shift := make([]uint, k+1)
 	for d := k; d >= 1; d-- {
-		width := uint(bits.Len(uint(fanouts[d-1] - 1)))
+		width := uint8(bits.Len(uint(fanouts[d-1] - 1)))
 		if d > 1 {
-			shift[d-1] = shift[d] + width
+			t.shift[d-1] = t.shift[d] + width
 		}
-		for b := shift[d]; b < shift[d]+width; b++ {
+		t.mask[d] = 1<<width - 1
+		t.size[d] = sizes[d]
+		for b := t.shift[d]; b < t.shift[d]+width; b++ {
 			t.depth[b+1] = uint8(d)
 		}
 	}
 	for x := 0; x < n; x++ {
 		for d := 1; d <= k; d++ {
 			digit := (x / sizes[d]) % fanouts[d-1]
-			t.code[x] |= uint32(digit) << shift[d]
+			t.code[x] |= uint32(digit) << t.shift[d]
 			if digit != 0 {
 				t.nz[x] |= 1 << d
 			}
 		}
 	}
 	return t
+}
+
+// digit returns the depth-d child digit of PE x.
+func (t *hierTables) digit(x, d int) int {
+	return int(t.code[x] >> t.shift[d] & t.mask[d])
 }
 
 // firstDiff returns the first depth (1..k) at which the child digits of
@@ -169,4 +180,25 @@ func (nw *Network) hierDistance(a, b int) int {
 	t := nw.hier
 	below := ^uint16(0) << (t.firstDiff(a, b) + 1)
 	return 1 + bits.OnesCount16(t.nz[a]&below) + bits.OnesCount16(t.nz[b]&below)
+}
+
+// hierNextLinks returns the one link a shortest path from cur to dst
+// takes first; on the pristine hierarchy that path is unique. With f
+// the first depth at which cur and dst differ, cur climbs while it has
+// a non-zero digit deeper than f, zeroing its deepest one (the link to
+// its representative at that level); once it represents its depth-f
+// group, it crosses to the sibling whose digit f is dst's. The descent
+// toward dst is the same rule one level deeper each hop.
+func (nw *Network) hierNextLinks(cur, dst int, buf []int) []int {
+	t := nw.hier
+	f := t.firstDiff(cur, dst)
+	next := cur
+	if deeper := t.nz[cur] & (^uint16(0) << (f + 1)); deeper != 0 {
+		d := bits.Len16(deeper) - 1
+		next -= t.digit(cur, d) * t.size[d]
+	} else {
+		next += (t.digit(dst, f) - t.digit(cur, f)) * t.size[f]
+	}
+	id, _ := nw.LinkBetween(cur, next)
+	return append(buf, id)
 }

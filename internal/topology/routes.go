@@ -6,14 +6,19 @@ package topology
 type Route []int
 
 // ShortestRoutes enumerates shortest routes from src to dst as link-id
-// sequences. At most limit routes are returned (limit <= 0 means all).
-// For src == dst it returns a single empty route.
+// sequences, in NextLinks order at every hop. At most limit routes are
+// returned (limit <= 0 means all). For src == dst it returns a single
+// empty route.
 func (nw *Network) ShortestRoutes(src, dst, limit int) []Route {
 	if src == dst {
 		return []Route{{}}
 	}
 	var out []Route
 	cur := make([]int, 0, nw.Distance(src, dst))
+	// stack holds, for each processor on the current walk, its next
+	// links; a call appends its own past its caller's and cuts them off
+	// before returning.
+	var stack []int
 	var walk func(v int)
 	walk = func(v int) {
 		if limit > 0 && len(out) >= limit {
@@ -23,19 +28,18 @@ func (nw *Network) ShortestRoutes(src, dst, limit int) []Route {
 			out = append(out, append(Route(nil), cur...))
 			return
 		}
-		dv := nw.Distance(v, dst)
-		for _, u := range nw.adj[v] {
-			if nw.Distance(u, dst) != dv-1 {
-				continue
-			}
-			id, _ := nw.LinkBetween(v, u)
+		start := len(stack)
+		stack = nw.NextLinks(v, dst, stack)
+		for i, end := start, len(stack); i < end; i++ {
+			id := stack[i]
 			cur = append(cur, id)
-			walk(u)
+			walk(nw.links[id].Other(v))
 			cur = cur[:len(cur)-1]
 			if limit > 0 && len(out) >= limit {
-				return
+				break
 			}
 		}
+		stack = stack[:start]
 	}
 	walk(src)
 	return out
@@ -48,6 +52,7 @@ func (nw *Network) CountShortestRoutes(src, dst int) int {
 		return 1
 	}
 	memo := make(map[int]int)
+	var stack []int // as in ShortestRoutes
 	var count func(v int) int
 	count = func(v int) int {
 		if v == dst {
@@ -57,12 +62,12 @@ func (nw *Network) CountShortestRoutes(src, dst int) int {
 			return c
 		}
 		c := 0
-		dv := nw.Distance(v, dst)
-		for _, u := range nw.adj[v] {
-			if nw.Distance(u, dst) == dv-1 {
-				c += count(u)
-			}
+		start := len(stack)
+		stack = nw.NextLinks(v, dst, stack)
+		for i, end := start, len(stack); i < end; i++ {
+			c += count(nw.links[stack[i]].Other(v))
 		}
+		stack = stack[:start]
 		memo[v] = c
 		return c
 	}

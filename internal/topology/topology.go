@@ -8,6 +8,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,6 +21,15 @@ import (
 type Link struct {
 	ID   int
 	A, B int
+}
+
+// Other returns the endpoint of l that is not v, for v one of its
+// endpoints.
+func (l Link) Other(v int) int {
+	if v == l.A {
+		return l.B
+	}
+	return l.A
 }
 
 // Network is an undirected processor graph.
@@ -40,10 +50,12 @@ type Network struct {
 	linkID  map[[2]int]int            // construction-time dup detection only
 	dist    atomic.Pointer[[][]int16] // lazily computed all-pairs hop distances
 	hier    *hierTables               // per-PE digit tables of a "hier" network
+	closed  closedForm                // the family's closed forms; zero on degraded views
+	maxNext int                       // closed.maxNext(nw), 0 without one
 
 	// Degraded views (see Masked): when degraded is set, deadProc and
-	// deadLink mark failed hardware, adj excludes dead links, and the
-	// analytic distance formulas are disabled in favor of BFS.
+	// deadLink mark failed hardware, adj excludes dead links, and closed
+	// is left zero, so distances come from BFS and next hops from a scan.
 	degraded bool
 	deadProc []bool
 	deadLink []bool
@@ -84,6 +96,10 @@ func (nw *Network) finish() *Network {
 		sort.Ints(l)
 	}
 	nw.buildAdjLink()
+	nw.closed = closedForms[nw.Kind]
+	if nw.closed.maxNext != nil {
+		nw.maxNext = nw.closed.maxNext(nw)
+	}
 	return nw
 }
 
@@ -166,15 +182,14 @@ func (nw *Network) NeighborLinks(v int) []int { return nw.adjLink[v] }
 func (nw *Network) Link(id int) Link { return nw.links[id] }
 
 // Distance returns the hop distance between processors a and b. Regular
-// families (mesh, torus, hypercube, complete, star, ring, linear) are
-// answered analytically; other families — and every degraded view, whose
-// failures invalidate the closed forms — fall back to a cached all-pairs
-// BFS. On a degraded view, unreachable pairs report distance -1.
+// families (mesh, torus, hypercube, complete, star, ring, linear, hier)
+// are answered by the closed form their network chose at construction;
+// other families — and every degraded view, whose failures invalidate
+// the closed forms — fall back to a cached all-pairs BFS. On a degraded
+// view, unreachable pairs report distance -1.
 func (nw *Network) Distance(a, b int) int {
-	if !nw.degraded {
-		if d, ok := nw.analyticDistance(a, b); ok {
-			return d
-		}
+	if nw.closed.distance != nil {
+		return nw.closed.distance(nw, a, b)
 	}
 	return int(nw.distances()[a][b])
 }
@@ -183,63 +198,39 @@ func (nw *Network) Distance(a, b int) int {
 // closed form, so the network never builds its all-pairs BFS table
 // (N²·2 bytes). The tree, butterfly and cube-connected-cycles families
 // and every degraded view build it on their first Distance call.
-func (nw *Network) ClosedFormDistance() bool {
-	if nw.degraded {
-		return false
+func (nw *Network) ClosedFormDistance() bool { return nw.closed.distance != nil }
+
+// NextLinks appends to buf the ids of the links from cur to a neighbor
+// one hop closer to dst, in NeighborLinks(cur) order, and returns the
+// extended slice: the first hops of every shortest cur->dst path. It
+// appends nothing when cur == dst or when dst is unreachable from cur on
+// a degraded view. Families with a closed form answer without a
+// Distance call per neighbor; the rest, and degraded views, scan the
+// adjacency row. MM-Route's tie-breaks depend on the order.
+func (nw *Network) NextLinks(cur, dst int, buf []int) []int {
+	if cur == dst {
+		return buf
 	}
-	_, ok := nw.analyticDistance(0, 0)
-	return ok
+	if nw.closed.nextLinks != nil {
+		return nw.closed.nextLinks(nw, cur, dst, buf)
+	}
+	base := nw.Distance(cur, dst)
+	if base < 0 {
+		return buf
+	}
+	lids := nw.adjLink[cur]
+	for i, u := range nw.adj[cur] {
+		if nw.Distance(u, dst) == base-1 {
+			buf = append(buf, lids[i])
+		}
+	}
+	return buf
 }
 
-func (nw *Network) analyticDistance(a, b int) (int, bool) {
-	switch nw.Kind {
-	case "mesh":
-		c := nw.Dims[1]
-		return iabs(a/c-b/c) + iabs(a%c-b%c), true
-	case "torus":
-		r, c := nw.Dims[0], nw.Dims[1]
-		dr := iabs(a/c - b/c)
-		if r > 2 && r-dr < dr {
-			dr = r - dr
-		}
-		dc := iabs(a%c - b%c)
-		if c > 2 && c-dc < dc {
-			dc = c - dc
-		}
-		return dr + dc, true
-	case "hypercube":
-		d := 0
-		for x := a ^ b; x != 0; x &= x - 1 {
-			d++
-		}
-		return d, true
-	case "complete":
-		if a == b {
-			return 0, true
-		}
-		return 1, true
-	case "star":
-		switch {
-		case a == b:
-			return 0, true
-		case a == 0 || b == 0:
-			return 1, true
-		default:
-			return 2, true
-		}
-	case "ring":
-		d := iabs(a - b)
-		if nw.N-d < d {
-			d = nw.N - d
-		}
-		return d, true
-	case "linear":
-		return iabs(a - b), true
-	case "hier":
-		return nw.hierDistance(a, b), true
-	}
-	return 0, false
-}
+// MaxNextLinks returns the most links NextLinks can return for any pair
+// of this network, so a caller can size its buffers once; it is 0 when
+// no closed form bounds it (the scanned families and degraded views).
+func (nw *Network) MaxNextLinks() int { return nw.maxNext }
 
 func iabs(x int) int {
 	if x < 0 {
@@ -294,21 +285,13 @@ func (nw *Network) distances() [][]int16 {
 }
 
 // NextHops returns the neighbors of src that lie on some shortest path
-// from src to dst. For src == dst, or when dst is unreachable from src
-// on a degraded view, it returns nil.
+// from src to dst, in ascending order: the far ends of NextLinks. For
+// src == dst, or when dst is unreachable from src on a degraded view,
+// it returns nil.
 func (nw *Network) NextHops(src, dst int) []int {
-	if src == dst {
-		return nil
-	}
-	var hops []int
-	base := nw.Distance(src, dst)
-	if base < 0 {
-		return nil
-	}
-	for _, u := range nw.adj[src] {
-		if nw.Distance(u, dst) == base-1 {
-			hops = append(hops, u)
-		}
+	hops := nw.NextLinks(src, dst, nil)
+	for i, id := range hops {
+		hops[i] = nw.links[id].Other(src)
 	}
 	return hops
 }
@@ -558,6 +541,183 @@ var families = map[string]family{
 	"complete":  {1, func(p []int) *Network { return Complete(p[0]) }},
 	"star":      {1, func(p []int) *Network { return Star(p[0]) }},
 	"hier":      {-1, func(p []int) *Network { return Hierarchy(p...) }},
+}
+
+// closedForm is one family's closed-form queries. A pristine network
+// takes its family's entry from closedForms at construction (finish),
+// so Distance and NextLinks make one indirect call instead of matching
+// the family name per query. A nil nextLinks keeps the NextLinks scan;
+// a zero closedForm (the tree, binomial, butterfly and ccc families, and
+// every degraded view, which Masked builds without finish) keeps the
+// BFS table as well. nextLinks is only called with cur != dst; maxNext
+// bounds the links it returns.
+type closedForm struct {
+	distance  func(nw *Network, a, b int) int
+	nextLinks func(nw *Network, cur, dst int, buf []int) []int
+	maxNext   func(nw *Network) int
+}
+
+// closedForms holds the closed forms of the families that have them,
+// beside families, which builds their networks.
+var closedForms = map[string]closedForm{
+	"mesh":      {meshDistance, meshNextLinks, meshMaxNext},
+	"torus":     {torusDistance, torusNextLinks, torusMaxNext},
+	"hypercube": {hypercubeDistance, hypercubeNextLinks, func(nw *Network) int { return nw.Dims[0] }},
+	"complete":  {completeDistance, completeNextLinks, oneNext},
+	"star":      {starDistance, starNextLinks, oneNext},
+	"ring":      {ringDistance, ringNextLinks, func(nw *Network) int { return axisMaxNext(nw.N, true) }},
+	"linear":    {linearDistance, linearNextLinks, oneNext},
+	"hier":      {(*Network).hierDistance, (*Network).hierNextLinks, oneNext},
+}
+
+func oneNext(*Network) int { return 1 }
+
+// axisMaxNext is how many of a mesh or torus axis's links can lead
+// closer to a destination: none on an extent-1 axis, both ways halfway
+// round an even wrapping axis, else one.
+func axisMaxNext(extent int, wrap bool) int {
+	switch {
+	case extent == 1:
+		return 0
+	case wrap && extent > 2 && extent%2 == 0:
+		return 2
+	}
+	return 1
+}
+
+// axisDist is the hop distance between coordinates x and y along one
+// mesh or torus axis of the given extent; a torus axis wraps only when
+// its extent exceeds 2 (Torus omits the duplicate wrap link).
+func axisDist(x, y, extent int, wrap bool) int {
+	d := iabs(x - y)
+	if wrap && extent > 2 && extent-d < d {
+		d = extent - d
+	}
+	return d
+}
+
+func gridDistance(nw *Network, a, b int, wrap bool) int {
+	r, c := nw.Dims[0], nw.Dims[1]
+	return axisDist(a/c, b/c, r, wrap) + axisDist(a%c, b%c, c, wrap)
+}
+
+// gridNextLinks keeps the links of cur's row whose far end moves one
+// coordinate closer to dst along its axis: a neighbor differs from cur
+// in exactly one coordinate. At an even torus's halfway point both
+// directions are closer, and both are kept.
+func gridNextLinks(nw *Network, cur, dst int, buf []int, wrap bool) []int {
+	r, c := nw.Dims[0], nw.Dims[1]
+	cr, cc, dr, dc := cur/c, cur%c, dst/c, dst%c
+	rowD, colD := axisDist(cr, dr, r, wrap), axisDist(cc, dc, c, wrap)
+	lids := nw.adjLink[cur]
+	for i, u := range nw.adj[cur] {
+		ur, uc := u/c, u%c
+		if (ur != cr && axisDist(ur, dr, r, wrap) < rowD) || (uc != cc && axisDist(uc, dc, c, wrap) < colD) {
+			buf = append(buf, lids[i])
+		}
+	}
+	return buf
+}
+
+func meshMaxNext(nw *Network) int {
+	return axisMaxNext(nw.Dims[0], false) + axisMaxNext(nw.Dims[1], false)
+}
+func torusMaxNext(nw *Network) int {
+	return axisMaxNext(nw.Dims[0], true) + axisMaxNext(nw.Dims[1], true)
+}
+
+func meshDistance(nw *Network, a, b int) int  { return gridDistance(nw, a, b, false) }
+func torusDistance(nw *Network, a, b int) int { return gridDistance(nw, a, b, true) }
+func meshNextLinks(nw *Network, cur, dst int, buf []int) []int {
+	return gridNextLinks(nw, cur, dst, buf, false)
+}
+func torusNextLinks(nw *Network, cur, dst int, buf []int) []int {
+	return gridNextLinks(nw, cur, dst, buf, true)
+}
+
+func hypercubeDistance(_ *Network, a, b int) int { return bits.OnesCount(uint(a ^ b)) }
+
+// hypercubeNextLinks keeps the links that flip a bit in which cur and
+// dst differ.
+func hypercubeNextLinks(nw *Network, cur, dst int, buf []int) []int {
+	diff := cur ^ dst
+	lids := nw.adjLink[cur]
+	for i, u := range nw.adj[cur] {
+		if (u^cur)&diff != 0 {
+			buf = append(buf, lids[i])
+		}
+	}
+	return buf
+}
+
+func completeDistance(_ *Network, a, b int) int {
+	if a == b {
+		return 0
+	}
+	return 1
+}
+
+// completeNextLinks returns the direct link: cur's row lists every other
+// processor in order, so dst sits at index dst, or dst-1 past cur.
+func completeNextLinks(nw *Network, cur, dst int, buf []int) []int {
+	i := dst
+	if dst > cur {
+		i--
+	}
+	return append(buf, nw.adjLink[cur][i])
+}
+
+func starDistance(_ *Network, a, b int) int {
+	switch {
+	case a == b:
+		return 0
+	case a == 0 || b == 0:
+		return 1
+	default:
+		return 2
+	}
+}
+
+// starNextLinks returns the hub's link to dst (the hub's row is 1..n-1),
+// or a leaf's one link to the hub.
+func starNextLinks(nw *Network, cur, dst int, buf []int) []int {
+	if cur == 0 {
+		return append(buf, nw.adjLink[0][dst-1])
+	}
+	return append(buf, nw.adjLink[cur][0])
+}
+
+func ringDistance(nw *Network, a, b int) int {
+	d := iabs(a - b)
+	if nw.N-d < d {
+		d = nw.N - d
+	}
+	return d
+}
+
+// ringNextLinks keeps the one or, halfway round an even ring, two links
+// toward dst.
+func ringNextLinks(nw *Network, cur, dst int, buf []int) []int {
+	d := ringDistance(nw, cur, dst)
+	lids := nw.adjLink[cur]
+	for i, u := range nw.adj[cur] {
+		if ringDistance(nw, u, dst) < d {
+			buf = append(buf, lids[i])
+		}
+	}
+	return buf
+}
+
+func linearDistance(_ *Network, a, b int) int { return iabs(a - b) }
+
+// linearNextLinks returns the link toward dst: cur's row is [cur-1,
+// cur+1] without the one an end processor lacks.
+func linearNextLinks(nw *Network, cur, dst int, buf []int) []int {
+	lids := nw.adjLink[cur]
+	if dst > cur {
+		return append(buf, lids[len(lids)-1])
+	}
+	return append(buf, lids[0])
 }
 
 // Kinds returns the valid network family names, sorted, for use in

@@ -1,6 +1,7 @@
 package oregami
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -114,15 +115,16 @@ func TestScaleBinomialMesh(t *testing.T) {
 }
 
 // scaleRow is one stencil size the scale gates map onto the 512-PE
-// 4x4x4x8 hierarchy, with its ceilings. The allocs/op ceiling is 10%
-// over the count last recorded for the row; the quality ceilings
-// (TotalIPC and the most tasks on one processor) are the values last
-// measured, so a change that trades mapping quality for speed fails
-// here instead of passing unseen.
+// 4x4x4x8 hierarchy, with its ceilings. The allocs/op and bytes/op
+// ceilings are 10% over the values last recorded for the row; the
+// quality ceilings (TotalIPC and the most tasks on one processor) are
+// the values last measured, so a change that trades mapping quality for
+// speed fails here instead of passing unseen.
 type scaleRow struct {
 	name       string
 	r, c       int
 	allocs     float64
+	bytes      float64
 	ipc        float64
 	maxPerProc int
 }
@@ -131,11 +133,13 @@ type scaleRow struct {
 // hierarchy with mapFn, holds the result to the internal/check oracle
 // and the row's ceilings, logs wall time and load imbalance, and hands
 // the mapping to extra, if non-nil, for mapper-specific assertions.
-// The mapping is measured with one testing.AllocsPerRun run (plus its
-// warm-up, which also builds the cached CSR): ten runs would cost ~11 s
-// at 1e6 tasks. It skips where the allocation gates do — in -short mode
-// and under the race detector, where the instrumented million-task map
-// would also dominate `make race`; `make alloc` runs it.
+// The mapping is measured the way testing.AllocsPerRun(1, ...) measures
+// it, at GOMAXPROCS 1 after one warm-up run (which also builds the
+// cached CSR), reading the bytes beside the allocations: ten runs would
+// cost ~11 s at 1e6 tasks. It skips where the allocation gates do — in
+// -short mode and under the race detector, where the instrumented
+// million-task map would also dominate `make race`; `make alloc` runs
+// it.
 func scaleGate(t *testing.T, rows []scaleRow,
 	mapFn func(*graph.TaskGraph, *topology.Network, multilevel.Options) (*mapping.Mapping, *multilevel.Stats, error),
 	extra func(*testing.T, int, *topology.Network, *mapping.Mapping, *multilevel.Stats)) {
@@ -150,11 +154,19 @@ func scaleGate(t *testing.T, rows []scaleRow,
 				err  error
 				wall time.Duration
 			)
-			allocs := testing.AllocsPerRun(1, func() {
+			run := func() {
 				start := time.Now()
 				m, st, err = mapFn(g, net, multilevel.Options{})
 				wall = time.Since(start)
-			})
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			run()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs - before.Mallocs)
+			bytes := float64(after.TotalAlloc - before.TotalAlloc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,10 +178,13 @@ func scaleGate(t *testing.T, rows []scaleRow,
 			}
 			ipc, maxPerProc := m.TotalIPC(), slices.Max(m.TasksPerProc())
 			imbalance := float64(maxPerProc) * float64(net.NumLive()) / float64(g.NumTasks)
-			t.Logf("%v wall, %.0f allocs/op (ceiling %.0f), TotalIPC %.0f (ceiling %.0f), max %d tasks/proc (ceiling %d), imbalance %.3f",
-				wall.Round(time.Millisecond), allocs, row.allocs, ipc, row.ipc, maxPerProc, row.maxPerProc, imbalance)
+			t.Logf("%v wall, %.0f allocs/op (ceiling %.0f), %.0f bytes/op (ceiling %.0f), TotalIPC %.0f (ceiling %.0f), max %d tasks/proc (ceiling %d), imbalance %.3f",
+				wall.Round(time.Millisecond), allocs, row.allocs, bytes, row.bytes, ipc, row.ipc, maxPerProc, row.maxPerProc, imbalance)
 			if allocs > row.allocs {
 				t.Errorf("allocates %.0f times per op, budget is %.0f", allocs, row.allocs)
+			}
+			if bytes > row.bytes {
+				t.Errorf("allocates %.0f bytes per op, budget is %.0f", bytes, row.bytes)
 			}
 			if ipc > row.ipc {
 				t.Errorf("TotalIPC %.0f exceeds its ceiling %.0f", ipc, row.ipc)
@@ -187,11 +202,13 @@ func scaleGate(t *testing.T, rows []scaleRow,
 // TestScaleMultilevelMillion is the headline case for docs/MULTILEVEL.md:
 // 1e5- and million-task stencils coarsened, mapped, and uncoarsened onto
 // the 512-PE 4x4x4x8 hierarchy, with the result held to the
-// internal/check oracle and to allocation and quality ceilings.
+// internal/check oracle and to allocation and quality ceilings. The
+// bytes ceilings are 10% over the measured 55,535,328 and 118,446,232
+// bytes/op.
 func TestScaleMultilevelMillion(t *testing.T) {
 	scaleGate(t, []scaleRow{
-		{"n=100000", 250, 400, 99_129, 31_350, 256},
-		{"n=1000000", 1000, 1000, 25_049, 111_065, 2_048},
+		{"n=100000", 250, 400, 99_129, 61_088_861, 31_350, 256},
+		{"n=1000000", 1000, 1000, 25_049, 130_290_855, 111_065, 2_048},
 	}, multilevel.Map, func(t *testing.T, tasks int, net *topology.Network, m *mapping.Mapping, st *multilevel.Stats) {
 		if st.Levels < 2 {
 			t.Errorf("levels = %d, want a real hierarchy", st.Levels)
@@ -212,10 +229,11 @@ func TestScaleMultilevelMillion(t *testing.T) {
 
 // TestScaleBisectMillion runs the recursive-bisection baseline over the
 // same workloads: it must stay oracle-clean, place every cluster on a
-// distinct live processor, and stay under its own ceilings.
+// distinct live processor, and stay under its own ceilings. The bytes
+// ceilings are 10% over the measured 7,385,272 and 73,526,688 bytes/op.
 func TestScaleBisectMillion(t *testing.T) {
 	scaleGate(t, []scaleRow{
-		{"n=100000", 250, 400, 18_290, 47_663, 196},
-		{"n=1000000", 1000, 1000, 65_724, 152_093, 1_954},
+		{"n=100000", 250, 400, 18_290, 8_123_799, 47_663, 196},
+		{"n=1000000", 1000, 1000, 65_724, 80_879_357, 152_093, 1_954},
 	}, multilevel.BisectMap, nil)
 }
